@@ -24,6 +24,7 @@ from .losses import (
     brute_force_loss,
     channel_abs_cosine_mean,
     channel_contrast,
+    contrast,
     count_pairs,
     ep_contrast,
     point_infonce,
@@ -85,6 +86,7 @@ __all__ = [
     "brute_force_loss",
     "channel_abs_cosine_mean",
     "channel_contrast",
+    "contrast",
     "count_pairs",
     "encoder_backward",
     "encoder_forward",

@@ -26,14 +26,7 @@ import numpy as np
 from . import bench as bench_mod
 from .encoder import load_checkpoint, save_checkpoint
 from .errors import ConfigError
-from .losses import (
-    LossConfig,
-    ag_contrast,
-    brute_force_loss,
-    channel_contrast,
-    ep_contrast,
-    point_infonce,
-)
+from .losses import KINDS, PAIR_KINDS, LossConfig, brute_force_loss, contrast
 from .pointcloud import AugmentParams, PointCloud, load_ascii, load_binary, save_binary
 from .rng import substream
 from .superpoint import KMeansConfig, SegmentAssignment, kmeans_segments
@@ -178,7 +171,6 @@ class RunConfig:
             rot_max=v["augment.rot_max"],
             jitter_sigma=v["augment.jitter_sigma"],
             jitter_clip=v["augment.jitter_clip"],
-            seed=self.seed,
         )
 
     def kmeans_config(self) -> KMeansConfig:
@@ -356,20 +348,10 @@ def _random_instance(rng, n, c, m):
     return f1, f2, seg
 
 
-def _vector_loss(kind, f1, f2, seg, cfg):
-    if kind == "pc":
-        return point_infonce(f1, f2, cfg)
-    if kind == "ag":
-        return ag_contrast(f1, f2, seg, cfg)
-    if kind == "cc":
-        return channel_contrast(f1, f2, cfg)
-    return ep_contrast(f1, f2, seg, cfg)
-
-
 def _check_oracles(instances=25) -> list[str]:
     failures = []
     rng = substream(1345, 0)
-    for kind in ("pc", "ag", "cc", "ep"):
+    for kind in KINDS:
         for i in range(instances):
             n = int(rng.integers(3, 33))
             c = int(rng.integers(2, 9))
@@ -383,7 +365,7 @@ def _check_oracles(instances=25) -> list[str]:
                         normalize_rows=normalize,
                         normalize_channels=normalize,
                     )
-                    got = _vector_loss(kind, f1, f2, seg, cfg).value
+                    got = contrast(kind, f1, f2, seg, cfg).value
                     want = brute_force_loss(kind, f1, f2, seg, cfg)
                     tol = 1e-10 * max(1.0, abs(want))
                     if abs(got - want) > tol:
@@ -398,24 +380,24 @@ def _check_oracles(instances=25) -> list[str]:
 def _check_gradients(instances=5, step=1e-5, tol=1e-5) -> list[str]:
     failures = []
     rng = substream(1346, 0)
-    for kind in ("pc", "ag", "cc", "ep"):
+    for kind in KINDS:
         for i in range(instances):
             n = int(rng.integers(4, 8))
             c = int(rng.integers(3, 6))
             m = int(rng.integers(2, 4))
             f1, f2, seg = _random_instance(rng, n, c, m)
             cfg = LossConfig(reduction="mean")
-            out = _vector_loss(kind, f1, f2, seg, cfg)
+            out = contrast(kind, f1, f2, seg, cfg)
             for name, base, grad in (("f1", f1, out.grad_f1), ("f2", f2, out.grad_f2)):
                 num = np.zeros_like(base)
                 for idx in np.ndindex(base.shape):
                     bumped = base.copy()
                     bumped[idx] += step
-                    up = _vector_loss(kind, bumped if name == "f1" else f1,
-                                      bumped if name == "f2" else f2, seg, cfg).value
+                    up = contrast(kind, bumped if name == "f1" else f1,
+                                  bumped if name == "f2" else f2, seg, cfg).value
                     bumped[idx] -= 2 * step
-                    dn = _vector_loss(kind, bumped if name == "f1" else f1,
-                                      bumped if name == "f2" else f2, seg, cfg).value
+                    dn = contrast(kind, bumped if name == "f1" else f1,
+                                  bumped if name == "f2" else f2, seg, cfg).value
                     num[idx] = (up - dn) / (2 * step)
                 denom = np.maximum(1.0, np.maximum(np.abs(num), np.abs(grad)))
                 err = float(np.max(np.abs(num - grad) / denom))
@@ -477,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data", required=True, help="directory of scenes")
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--loss", choices=("pc", "ag", "cc", "ep"), default="ep")
+    p.add_argument("--loss", choices=KINDS, default="ep")
     p.add_argument("--history", default=None, help="loss CSV path (default: CKPT.history.csv)")
     p.set_defaults(func=_cmd_pretrain)
 
@@ -490,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="pair-count / byte scaling report")
     common(p)
-    p.add_argument("--kind", choices=("pc", "ag", "cc"), required=True)
+    p.add_argument("--kind", choices=PAIR_KINDS, required=True)
     p.add_argument("--sizes", required=True, help="comma-separated point counts")
     p.add_argument("--m", type=int, default=32, help="segment count for the segment loss")
     p.add_argument("--c", type=int, default=32, help="embedding dimension")

@@ -40,6 +40,8 @@ from .numcore import (
 from .superpoint import SegmentAssignment
 
 KINDS = ("pc", "ag", "cc", "ep")
+# every kind but the combined "ep" scores one pair scheme (see count_pairs)
+PAIR_KINDS = KINDS[:-1]
 
 
 @dataclass(frozen=True)
@@ -110,35 +112,41 @@ def count_pairs(kind: str, n: int, m: int, c: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _anchor_terms(pos, den, mask, include_positive):
-    """Per-anchor -log softmax terms plus the weights needed for backward.
+def _softmax_rows(den, pos, pos_col, cfg):
+    """Loss value of the per-anchor -log softmax terms; ``den`` becomes dloss/dscores.
 
+    den: (A, K) candidate denominator scores (already divided by tau, abs
+         applied where the scheme demands it), with -inf at the positive
+         and at every other entry outside the anchor's negative set.
     pos: (A,) positive scores (already divided by tau).
-    den: (A, K) candidate denominator scores (already scaled, abs applied
-         where the scheme demands it); only entries with mask True count.
-    Returns (terms, neg_weights, pos_weights) where weights are softmax
-    masses over the denominator set (pos_weights is zero when the positive
-    is excluded).
+    pos_col: (A,) column of each anchor's positive in ``den``.
+
+    ``den`` is exponentiated, normalized and turned into the gradient of
+    the loss with respect to the scaled scores in place: the softmax mass
+    on each negative, plus (positive mass - 1) at the positive's column,
+    times the reduction scale over tau. An anchor with no negative leaves
+    a -inf row maximum and raises :class:`EmptyNegativeSetError`.
     """
-    counts = mask.sum(axis=1)
-    if np.any(counts == 0):
-        bad = int(np.flatnonzero(counts == 0)[0])
-        raise EmptyNegativeSetError(f"anchor {bad} has an empty negative set")
-    masked = np.where(mask, den, -np.inf)
-    hi = masked.max(axis=1)
-    if include_positive:
+    hi = den.max(axis=1)
+    empty = np.flatnonzero(hi == -np.inf)
+    if empty.size:
+        raise EmptyNegativeSetError(f"anchor {empty[0]} has an empty negative set")
+    if cfg.include_positive_in_denominator:
         hi = np.maximum(hi, pos)
-    e = np.exp(masked - hi[:, None])  # excluded entries exp(-inf) -> exactly 0
-    denom = e.sum(axis=1)
-    if include_positive:
+    den -= hi[:, None]
+    np.exp(den, out=den)  # excluded entries exp(-inf) -> exactly 0
+    denom = den.sum(axis=1)
+    if cfg.include_positive_in_denominator:
         pos_e = np.exp(pos - hi)
         denom = denom + pos_e
         pos_w = pos_e / denom
     else:
         pos_w = np.zeros_like(pos)
-    terms = hi + np.log(denom) - pos
-    neg_w = e / denom[:, None]
-    return terms, neg_w, pos_w
+    value, scale = _reduce(hi + np.log(denom) - pos, cfg.reduction)
+    den /= denom[:, None]
+    den[np.arange(den.shape[0]), pos_col] += pos_w - 1.0
+    den *= scale / cfg.tau
+    return value
 
 
 def _reduce(terms: np.ndarray, reduction: str) -> tuple[float, float]:
@@ -197,14 +205,43 @@ def segment_pool_backward(grad_pooled: np.ndarray, seg: SegmentAssignment) -> np
 # ---------------------------------------------------------------------------
 
 
-def _sample_negative_mask(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Per anchor, k distinct negatives drawn uniformly from the n-1 others."""
-    mask = np.zeros((n, n), dtype=bool)
+def _sample_negatives(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, k) key columns: per anchor, k distinct negatives drawn uniformly
+    from the n-1 others."""
+    picks = np.empty((n, k), dtype=np.int64)
     for i in range(n):
-        picks = rng.choice(n - 1, size=k, replace=False)
-        picks = picks + (picks >= i)  # skip the anchor itself
-        mask[i, picks] = True
-    return mask
+        row = rng.choice(n - 1, size=k, replace=False)
+        picks[i] = row + (row >= i)  # skip the anchor itself
+    return picks
+
+
+def _rows_contrast(fq, fk, pos_col, cfg, negatives=None):
+    """Contrast each query row with the key rows; row i's positive is key
+    ``pos_col[i]``.
+
+    The negatives are every other key, or only the columns ``negatives[i]``
+    when given. Returns the value and the gradients with respect to fq and
+    fk; one (rows x keys) score buffer carries the whole computation.
+    """
+    hq = row_l2_normalize(fq) if cfg.normalize_rows else fq
+    hk = row_l2_normalize(fk) if cfg.normalize_rows else fk
+    scores = matmul_nt(hq, hk)
+    scores /= cfg.tau
+    rows = np.arange(scores.shape[0])
+    pos = scores[rows, pos_col]
+    if negatives is None:
+        scores[rows, pos_col] = -np.inf
+    else:
+        kept = np.take_along_axis(scores, negatives, axis=1)
+        scores.fill(-np.inf)
+        np.put_along_axis(scores, negatives, kept, axis=1)
+    value = _softmax_rows(scores, pos, pos_col, cfg)
+
+    ghq = scores @ hk
+    ghk = scores.T @ hq
+    gq = _rownorm_backward(fq, ghq) if cfg.normalize_rows else ghq
+    gk = _rownorm_backward(fk, ghk) if cfg.normalize_rows else ghk
+    return LossOutput(value, gq, gk)
 
 
 def point_infonce(
@@ -228,63 +265,19 @@ def point_infonce(
     if n < 2:
         raise EmptyNegativeSetError("point loss needs N >= 2 for a negative set")
 
-    h1 = row_l2_normalize(f1) if cfg.normalize_rows else f1
-    h2 = row_l2_normalize(f2) if cfg.normalize_rows else f2
-    scores = matmul_nt(h1, h2) / cfg.tau
-
     k = cfg.neg_sample_count
+    negatives = None
     if k is not None and k < n - 1:
         if rng is None:
             raise ValueError("negative sampling requires a random stream")
-        mask = _sample_negative_mask(n, k, rng)
-    else:
-        mask = ~np.eye(n, dtype=bool)
-
-    pos = np.diagonal(scores).copy()
-    terms, neg_w, pos_w = _anchor_terms(
-        pos, scores, mask, cfg.include_positive_in_denominator
-    )
-    value, scale = _reduce(terms, cfg.reduction)
-
-    dscores = neg_w  # zero outside the mask already
-    np.fill_diagonal(dscores, dscores.diagonal() + pos_w - 1.0)
-    dscores *= scale / cfg.tau
-
-    gh1 = dscores @ h2
-    gh2 = dscores.T @ h1
-    g1 = _rownorm_backward(f1, gh1) if cfg.normalize_rows else gh1
-    g2 = _rownorm_backward(f2, gh2) if cfg.normalize_rows else gh2
-    return LossOutput(value, g1, g2)
+        negatives = _sample_negatives(n, k, rng)
+    return _rows_contrast(f1, f2, np.arange(n), cfg, negatives)
 
 
 def _ag_directional(fq, fk, seg, cfg):
     """Queries fq (points) against pooled keys from fk (segments)."""
-    pooled = segment_pool(fk, seg)
-    hq = row_l2_normalize(fq) if cfg.normalize_rows else fq
-    hk = row_l2_normalize(pooled) if cfg.normalize_rows else pooled
-    scores = matmul_nt(hq, hk) / cfg.tau
-
-    n, m = scores.shape
-    own = seg.segment_of
-    mask = np.ones((n, m), dtype=bool)
-    mask[np.arange(n), own] = False
-
-    pos = scores[np.arange(n), own].copy()
-    terms, neg_w, pos_w = _anchor_terms(
-        pos, scores, mask, cfg.include_positive_in_denominator
-    )
-    value, scale = _reduce(terms, cfg.reduction)
-
-    dscores = neg_w
-    dscores[np.arange(n), own] += pos_w - 1.0
-    dscores *= scale / cfg.tau
-
-    ghq = dscores @ hk
-    ghk = dscores.T @ hq
-    gq = _rownorm_backward(fq, ghq) if cfg.normalize_rows else ghq
-    gpooled = _rownorm_backward(pooled, ghk) if cfg.normalize_rows else ghk
-    gk = segment_pool_backward(gpooled, seg)
-    return LossOutput(value, gq, gk)
+    out = _rows_contrast(fq, segment_pool(fk, seg), seg.segment_of, cfg)
+    return LossOutput(out.value, out.grad_f1, segment_pool_backward(out.grad_f2, seg))
 
 
 def ag_contrast(
@@ -344,17 +337,13 @@ def channel_contrast(f1: np.ndarray, f2: np.ndarray, cfg: LossConfig) -> LossOut
     gram = h1.T @ h2  # (C, C): gram[i, j] = c1_i . c2_j
     scores = gram / cfg.tau
 
-    mask = ~np.eye(c, dtype=bool)
     pos = np.diagonal(scores).copy()
     den = np.abs(scores)
-    terms, neg_w, pos_w = _anchor_terms(
-        pos, den, mask, cfg.include_positive_in_denominator
-    )
-    value, scale = _reduce(terms, cfg.reduction)
-
-    dgram = neg_w * np.sign(gram)  # |.| backward; neg_w is 0 off the mask
-    np.fill_diagonal(dgram, pos_w - 1.0)
-    dgram *= scale / cfg.tau
+    np.fill_diagonal(den, -np.inf)
+    value = _softmax_rows(den, pos, np.arange(c), cfg)
+    sign = np.sign(gram)  # |.| backward on the negatives only
+    np.fill_diagonal(sign, 1.0)
+    dgram = den * sign
 
     gh1 = h2 @ dgram.T
     gh2 = h1 @ dgram
@@ -379,6 +368,33 @@ def ep_contrast(
         ag.grad_f1 + cfg.lam * cc.grad_f1,
         ag.grad_f2 + cfg.lam * cc.grad_f2,
     )
+
+
+def contrast(
+    kind: str,
+    f1: np.ndarray,
+    f2: np.ndarray,
+    seg: SegmentAssignment | None,
+    cfg: LossConfig,
+    rng: np.random.Generator | None = None,
+) -> LossOutput:
+    """Evaluate the loss named by ``kind``, one of :data:`KINDS`.
+
+    ``seg`` is read by "ag" and "ep", ``rng`` only by sampled "pc". Each
+    loss function is looked up by its module-level name on every call, so
+    a wrapper installed on that name sees the call.
+    """
+    if kind == "pc":
+        return point_infonce(f1, f2, cfg, rng)
+    if kind == "cc":
+        return channel_contrast(f1, f2, cfg)
+    if kind not in KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    if seg is None:
+        raise ValueError(f"loss kind {kind!r} needs a segment assignment")
+    if kind == "ag":
+        return ag_contrast(f1, f2, seg, cfg)
+    return ep_contrast(f1, f2, seg, cfg)
 
 
 def channel_abs_cosine_mean(f: np.ndarray) -> float:

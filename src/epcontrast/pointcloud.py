@@ -51,7 +51,7 @@ class PointCloud:
             raise ShapeError("a point cloud needs at least one point")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions contain non-finite entries")
-        if np.any(col < 0.0) or np.any(col > 1.0):
+        if not np.all((col >= 0.0) & (col <= 1.0)):  # NaN fails both comparisons
             raise RangeError("color components must lie in [0, 1]")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "colors", col)
@@ -72,7 +72,7 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class AugmentParams:
-    """Strengths of the scale / rotate / jitter pipeline plus its seed.
+    """Strengths of the scale / rotate / jitter pipeline.
 
     ``rot_max`` bounds the rotation angle (radians, drawn from U[0, rot_max));
     set it to 0 to pin the rotation, e.g. for exact-identity tests.
@@ -84,7 +84,6 @@ class AugmentParams:
     rot_max: float = 2.0 * np.pi
     jitter_sigma: float = 0.01
     jitter_clip: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.scale_min <= self.scale_max:
@@ -144,7 +143,7 @@ def load_ascii(path) -> PointCloud:
                 except ValueError as exc:
                     raise ParseError(f"{path}:{lineno}: bad label {fields[6]!r}") from exc
             rgb = values[3:6]
-            if min(rgb) < 0.0 or max(rgb) > 1.0:
+            if not all(0.0 <= v <= 1.0 for v in rgb):
                 raise RangeError(
                     f"{path}:{lineno}: color {rgb} outside [0, 1]"
                 )

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import INPUT_DIM, MlpParams, encoder_backward, encoder_forward, encoder_init
-from .losses import LossConfig, ag_contrast, channel_contrast, ep_contrast, point_infonce
+from .losses import KINDS, LossConfig, contrast
 from .pointcloud import AugmentParams, PointCloud, make_view_pair
 from .rng import derive_seed, substream
 from .superpoint import KMeansConfig, SegmentAssignment, kmeans_segments
@@ -64,8 +64,8 @@ class TrainConfig:
             raise ValueError(f"base_lr must be >= 0, got {self.base_lr}")
         if self.lr_schedule not in ("constant", "cosine"):
             raise ValueError(f"lr_schedule must be constant or cosine, got {self.lr_schedule!r}")
-        if self.loss_kind not in ("pc", "ag", "cc", "ep"):
-            raise ValueError(f"loss_kind must be one of pc/ag/cc/ep, got {self.loss_kind!r}")
+        if self.loss_kind not in KINDS:
+            raise ValueError(f"loss_kind must be one of {'/'.join(KINDS)}, got {self.loss_kind!r}")
         if min(self.hidden, self.embed_dim) < 1:
             raise ValueError("hidden and embed_dim must be >= 1")
 
@@ -161,16 +161,6 @@ def _scheduled_lr(base_lr: float, schedule: str, step: int, total_steps: int) ->
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / (total_steps - 1)))
 
 
-def _loss_for_kind(kind, emb1, emb2, seg, loss_cfg, rng):
-    if kind == "ep":
-        return ep_contrast(emb1, emb2, seg, loss_cfg)
-    if kind == "ag":
-        return ag_contrast(emb1, emb2, seg, loss_cfg)
-    if kind == "cc":
-        return channel_contrast(emb1, emb2, loss_cfg)
-    return point_infonce(emb1, emb2, loss_cfg, rng)
-
-
 def pretrain(
     scenes: list[PointCloud],
     train_cfg: TrainConfig,
@@ -211,7 +201,7 @@ def pretrain(
                 emb1, cache1 = encoder_forward(params, pair.view1)
                 emb2, cache2 = encoder_forward(params, pair.view2)
                 neg_rng = substream(train_cfg.seed, _TAG_NEG, epoch, sidx)
-                out = _loss_for_kind(
+                out = contrast(
                     train_cfg.loss_kind, emb1, emb2, segments[sidx],
                     train_cfg.loss, neg_rng,
                 )

@@ -2,14 +2,7 @@
 
 import numpy as np
 
-from epcontrast import (
-    LossConfig,
-    SegmentAssignment,
-    ag_contrast,
-    channel_contrast,
-    ep_contrast,
-    point_infonce,
-)
+from epcontrast import LossConfig, SegmentAssignment, contrast
 
 
 def rel_err(a, b, floor=1.0):
@@ -33,13 +26,7 @@ def random_instance(rng, n, c, m):
 
 
 def eval_loss(kind, f1, f2, seg, cfg: LossConfig, rng=None):
-    if kind == "pc":
-        return point_infonce(f1, f2, cfg, rng)
-    if kind == "ag":
-        return ag_contrast(f1, f2, seg, cfg)
-    if kind == "cc":
-        return channel_contrast(f1, f2, cfg)
-    return ep_contrast(f1, f2, seg, cfg)
+    return contrast(kind, f1, f2, seg, cfg, rng)
 
 
 def central_diff(fn, x, h=1e-5):

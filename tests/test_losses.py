@@ -1,5 +1,7 @@
 """Loss values against brute-force oracles, gradients against differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,16 @@ from epcontrast import (
     ag_contrast,
     brute_force_loss,
     channel_contrast,
+    contrast,
     count_pairs,
     ep_contrast,
     point_infonce,
     segment_pool,
     segment_pool_backward,
 )
+from epcontrast.bench import accounted_bytes
 from epcontrast.errors import EmptyNegativeSetError, ShapeError
+from epcontrast.losses import _softmax_rows
 from epcontrast.rng import substream
 from helpers import central_diff, eval_loss, random_instance, rel_err
 
@@ -250,6 +255,18 @@ class TestStructuralProperties:
         with pytest.raises(EmptyNegativeSetError):
             ag_contrast(f, f, seg_one, SUM_CFG)
 
+    def test_anchor_with_every_entry_excluded_raises(self):
+        den = np.array([[-np.inf, 0.5], [-np.inf, -np.inf]])
+        with pytest.raises(EmptyNegativeSetError, match="anchor 1"):
+            _softmax_rows(den, np.zeros(2), np.array([0, 1]), SUM_CFG)
+
+    def test_dispatch_rejects_unknown_kind_and_missing_segments(self):
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            contrast("xx", EYE2, EYE2, SEG2, SUM_CFG)
+        for kind in ("ag", "ep"):
+            with pytest.raises(ValueError, match="segment assignment"):
+                contrast(kind, EYE2, EYE2, None, SUM_CFG)
+
 
 class TestSampling:
     def test_oversampling_uses_all_negatives_bitwise(self):
@@ -295,3 +312,29 @@ class TestPairCounting:
             brute_force_loss(kind, f1, f2, seg, cfg, counter)
             pos, neg = count_pairs(kind, n, m, c)
             assert counter.count == pos + neg
+
+
+class TestMemory:
+    """The kernels carry one score buffer: tracemalloc's peak stays within
+    twice the accounted bytes (8 per scored similarity)."""
+
+    @staticmethod
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_point_loss_peak(self):
+        rng = substream(813, 0)
+        f1, f2, _ = random_instance(rng, 2048, 32, 2)
+        peak = self.peak_bytes(lambda: point_infonce(f1, f2, LossConfig()))
+        assert peak <= 2 * accounted_bytes("pc", 2048, 1, 32)
+
+    def test_segment_loss_peak(self):
+        rng = substream(814, 0)
+        f1, f2, seg = random_instance(rng, 4096, 32, 512)
+        peak = self.peak_bytes(lambda: ag_contrast(f1, f2, seg, LossConfig()))
+        assert peak <= 2 * accounted_bytes("ag", 4096, 512, 32)

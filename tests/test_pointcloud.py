@@ -1,5 +1,7 @@
 """Data model, file formats, and augmentation determinism."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,12 @@ class TestAsciiFormat:
         with pytest.raises(RangeError):
             load_ascii(path)
 
+    def test_nan_color_rejected(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("0 0 0 0.5 0.5 0.5\n0 0 0 nan 0.5 0.5\n")
+        with pytest.raises(RangeError, match=":2"):
+            load_ascii(path)
+
     def test_mixed_label_modes_rejected(self, tmp_path):
         path = tmp_path / "mixed.txt"
         path.write_text("0 0 0 1 1 1\n0 0 0 1 1 1 3\n")
@@ -104,6 +112,15 @@ class TestBinaryFormat:
         save_binary(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
         np.testing.assert_array_equal(back.labels, cloud.labels)
+
+    def test_nan_color_rejected(self, tmp_path):
+        path = tmp_path / "nan.epcc"
+        save_binary(PointCloud(np.zeros((2, 3)), np.ones((2, 3))), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, 17 + 4 * 4, float("nan"))  # point 0, green
+        path.write_bytes(bytes(blob))
+        with pytest.raises(RangeError):
+            load_binary(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.epcc"
