@@ -31,7 +31,7 @@ from .losses import (
     segment_pool,
     segment_pool_backward,
 )
-from .numcore import logsumexp, matmul_nt, row_l2_normalize
+from .numcore import row_l2_normalize
 from .pointcloud import (
     AugmentParams,
     PointCloud,
@@ -100,9 +100,7 @@ __all__ = [
     "load_ascii",
     "load_binary",
     "load_checkpoint",
-    "logsumexp",
     "make_view_pair",
-    "matmul_nt",
     "point_infonce",
     "pretrain",
     "row_l2_normalize",

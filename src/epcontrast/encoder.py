@@ -2,9 +2,10 @@
 
 Each point is embedded independently from a 9-dimensional input feature:
 centroid-centered xyz scaled to the unit bounding box, the point's rgb,
-and the scene-mean rgb (the one piece of scene context). Two ReLU hidden
-layers feed a linear output layer. Forward caches pre-activations so the
-backward pass can produce exact parameter gradients.
+and the scene-mean rgb (the one piece of scene context). The encoder runs
+any chained stack :class:`MlpParams` accepts, ReLU after every layer but
+the linear last one; :func:`encoder_init` builds two hidden layers.
+Forward caches pre-activations so the backward pass is exact.
 
 Checkpoints use the EPCK layout: magic ``EPCK``, uint32-LE version (=1),
 uint32-LE layer count, then per layer fan_out and fan_in as uint32-LE
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CacheError, FormatError, PayloadLengthError, ShapeError
+from .errors import CacheError, FormatError, PayloadLengthError, RangeError, ShapeError
 from .pointcloud import PointCloud
 from .rng import substream
 
@@ -39,6 +40,8 @@ class MlpParams:
     def __post_init__(self):
         if len(self.weights) != len(self.biases):
             raise ShapeError("weights and biases must pair up layer by layer")
+        if not self.weights:
+            raise ShapeError("an MLP needs at least one layer")
         prev = None
         for w, b in zip(self.weights, self.biases):
             if w.ndim != 2 or b.shape != (w.shape[0],):
@@ -48,7 +51,7 @@ class MlpParams:
                     f"layer input {w.shape[1]} does not chain from previous output {prev}"
                 )
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError("parameters contain non-finite entries")
+                raise RangeError("parameters contain non-finite entries")
             prev = w.shape[0]
 
     @property
@@ -97,52 +100,51 @@ def encoder_features(cloud: PointCloud) -> np.ndarray:
 def encoder_forward(
     params: MlpParams, cloud: PointCloud
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Embed every point; returns (N x C embedding, activation cache)."""
+    """Embed every point; returns (N x C embedding, activation cache).
+
+    The cache is (x, z1, a1, ..., z_{L-1}, a_{L-1}): the input, then each
+    hidden layer's pre-activation and output.
+    """
     x = encoder_features(cloud)
     if x.shape[1] != params.weights[0].shape[1]:
         raise ShapeError(
             f"encoder expects input dim {params.weights[0].shape[1]}, features have {x.shape[1]}"
         )
-    w1, w2, w3 = params.weights
-    b1, b2, b3 = params.biases
-    z1 = x @ w1.T + b1
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ w2.T + b2
-    a2 = np.maximum(z2, 0.0)
-    out = a2 @ w3.T + b3
-    return out, (x, z1, a1, z2, a2)
+    cache = [x]
+    h = x
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = h @ w.T + b
+        h = np.maximum(z, 0.0)
+        cache += [z, h]
+    out = h @ params.weights[-1].T + params.biases[-1]
+    return out, tuple(cache)
 
 
 def encoder_backward(
     params: MlpParams, cache: tuple[np.ndarray, ...], grad_embedding: np.ndarray
 ) -> MlpParams:
     """Exact parameter gradients for a cached forward pass."""
-    if len(cache) != 5:
-        raise CacheError(f"cache must hold 5 arrays, got {len(cache)}")
-    x, z1, a1, z2, a2 = cache
-    w1, w2, w3 = params.weights
-    n = x.shape[0]
-    if (
-        x.shape != (n, w1.shape[1])
-        or z1.shape != (n, w1.shape[0])
-        or z2.shape != (n, w2.shape[0])
-        or grad_embedding.shape != (n, w3.shape[0])
-    ):
+    layers = len(params.weights)
+    if len(cache) != 2 * layers - 1:
         raise CacheError(
-            "cache shapes do not match these parameters (stale cache?)"
+            f"cache must hold {2 * layers - 1} arrays for {layers} layers, got {len(cache)}"
         )
-    dout = grad_embedding
-    dw3 = dout.T @ a2
-    db3 = dout.sum(axis=0)
-    da2 = dout @ w3
-    dz2 = da2 * (z2 > 0.0)
-    dw2 = dz2.T @ a1
-    db2 = dz2.sum(axis=0)
-    da1 = dz2 @ w2
-    dz1 = da1 * (z1 > 0.0)
-    dw1 = dz1.T @ x
-    db1 = dz1.sum(axis=0)
-    return MlpParams((dw1, dw2, dw3), (db1, db2, db3))
+    inputs, pre = cache[0::2], cache[1::2]
+    n = inputs[0].shape[0]
+    if (
+        any(a.shape != (n, w.shape[1]) for a, w in zip(inputs, params.weights))
+        or any(z.shape != (n, w.shape[0]) for z, w in zip(pre, params.weights))
+        or grad_embedding.shape != (n, params.weights[-1].shape[0])
+    ):
+        raise CacheError("cache shapes do not match these parameters (stale cache?)")
+    dz = grad_embedding
+    dws, dbs = [], []
+    for layer in reversed(range(layers)):
+        dws.append(dz.T @ inputs[layer])
+        dbs.append(dz.sum(axis=0))
+        if layer:
+            dz = (dz @ params.weights[layer]) * (pre[layer - 1] > 0.0)
+    return MlpParams(tuple(dws[::-1]), tuple(dbs[::-1]))
 
 
 def save_checkpoint(params: MlpParams, path) -> None:
@@ -161,6 +163,10 @@ def load_checkpoint(path) -> MlpParams:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {_MAGIC!r}")
+    if len(blob) < 12:
+        raise PayloadLengthError(
+            f"{path}: header truncated, expected >= 12 bytes, got {len(blob)}"
+        )
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported version {version}")

@@ -10,7 +10,7 @@ class ShapeError(ValueError):
 
 
 class EmptyReductionError(ValueError):
-    """A reduction (logsumexp, softmax denominator) received no elements."""
+    """A reduction (a softmax denominator) received no elements."""
 
 
 class EmptyNegativeSetError(EmptyReductionError):

@@ -30,13 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyNegativeSetError, PartitionError, ShapeError
-from .numcore import (
-    DEFAULT_EPS,
-    as_matrix,
-    col_l2_normalize,
-    matmul_nt,
-    row_l2_normalize,
-)
+from .numcore import DEFAULT_EPS, as_matrix, col_l2_normalize, row_l2_normalize
 from .superpoint import SegmentAssignment
 
 KINDS = ("pc", "ag", "cc", "ep")
@@ -162,11 +156,12 @@ def _rownorm_backward(x, grad_hat, eps=DEFAULT_EPS):
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     denom = np.maximum(norms, eps)
     xhat = x / denom[:, None]
-    out = grad_hat.copy()
     live = norms > eps
     dots = np.einsum("ij,ij->i", grad_hat, xhat)
-    out[live] -= dots[live, None] * xhat[live]
-    return out / denom[:, None]
+    # row-major in the row frame whatever the operands' strides: the layout of
+    # the column variant's gradient decides how BLAS rounds the encoder's
+    # backward products, and checkpoints are pinned byte for byte
+    return np.divide(grad_hat - (dots * live)[:, None] * xhat, denom[:, None], order="C")
 
 
 def _colnorm_backward(x, grad_hat, eps=DEFAULT_EPS):
@@ -225,7 +220,7 @@ def _rows_contrast(fq, fk, pos_col, cfg, negatives=None):
     """
     hq = row_l2_normalize(fq) if cfg.normalize_rows else fq
     hk = row_l2_normalize(fk) if cfg.normalize_rows else fk
-    scores = matmul_nt(hq, hk)
+    scores = hq @ hk.T
     scores /= cfg.tau
     rows = np.arange(scores.shape[0])
     pos = scores[rows, pos_col]

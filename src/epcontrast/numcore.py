@@ -1,17 +1,17 @@
-"""Dense 64-bit float kernels underneath the losses and the encoder.
+"""Dense 64-bit float kernels underneath the contrastive losses.
 
 A "matrix" throughout the package is a 2-D, C-contiguous float64 numpy
-array with finite entries; :func:`as_matrix` is the single validation
-funnel. The heavy lifting (products, reductions) is delegated to numpy,
-the contracts and stability tricks (max-shifted logsumexp, eps-floored
-normalization) live here.
+array with finite entries. :func:`as_matrix` establishes that once, at
+the public loss entry points; the kernels here trust validated operands
+and do not re-check them. The heavy lifting is delegated to numpy, the
+eps-floored normalization lives here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyReductionError, ShapeError
+from .errors import RangeError, ShapeError
 
 DEFAULT_EPS = 1e-12
 
@@ -22,29 +22,14 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise RangeError(f"{name} contains non-finite entries")
     return m
-
-
-def matmul_nt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return ``a @ b.T`` for row-major operands sharing the inner dimension.
-
-    result[i, j] = sum_k a[i, k] * b[j, k], shape (rows_a, rows_b).
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(
-            f"matmul_nt: inner dimensions differ, a is {a.shape}, b is {b.shape}"
-        )
-    return a @ b.T
 
 
 def row_l2_normalize(m: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Divide each row by max(‖row‖₂, eps); zero rows stay zero."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    m = as_matrix(m)
     norms = np.sqrt(np.einsum("ij,ij->i", m, m))
     return m / np.maximum(norms, eps)[:, None]
 
@@ -53,17 +38,5 @@ def col_l2_normalize(m: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Column analog of :func:`row_l2_normalize` (used for channel maps)."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    m = as_matrix(m)
     norms = np.sqrt(np.einsum("ij,ij->j", m, m))
     return m / np.maximum(norms, eps)[None, :]
-
-
-def logsumexp(values) -> float:
-    """log(sum(exp(v))) computed with a max shift; exact for one element."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise EmptyReductionError("logsumexp over an empty sequence")
-    hi = float(np.max(v))
-    if v.size == 1:
-        return hi
-    return hi + float(np.log(np.sum(np.exp(v - hi))))

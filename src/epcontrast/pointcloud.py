@@ -18,8 +18,9 @@ index i in the other; the contrastive losses rely on exactly this.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +51,7 @@ class PointCloud:
         if pos.shape[0] < 1:
             raise ShapeError("a point cloud needs at least one point")
         if not np.all(np.isfinite(pos)):
-            raise ValueError("positions contain non-finite entries")
+            raise RangeError("positions contain non-finite entries")
         if not np.all((col >= 0.0) & (col <= 1.0)):  # NaN fails both comparisons
             raise RangeError("color components must lie in [0, 1]")
         object.__setattr__(self, "positions", pos)
@@ -142,13 +143,13 @@ def load_ascii(path) -> PointCloud:
                     labels.append(int(fields[6]))
                 except ValueError as exc:
                     raise ParseError(f"{path}:{lineno}: bad label {fields[6]!r}") from exc
-            rgb = values[3:6]
-            if not all(0.0 <= v <= 1.0 for v in rgb):
-                raise RangeError(
-                    f"{path}:{lineno}: color {rgb} outside [0, 1]"
-                )
+            x, y, z, r, g, b = values
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise RangeError(f"{path}:{lineno}: non-finite position {values[:3]}")
+            if not (0.0 <= r <= 1.0 and 0.0 <= g <= 1.0 and 0.0 <= b <= 1.0):
+                raise RangeError(f"{path}:{lineno}: color {values[3:]} outside [0, 1]")
             positions.append(values[:3])
-            colors.append(rgb)
+            colors.append(values[3:])
     if not positions:
         raise ParseError(f"{path}: no points found")
     return PointCloud(
@@ -257,8 +258,3 @@ def make_view_pair(cloud: PointCloud, params: AugmentParams, seed: int) -> ViewP
     v2 = augment(cloud, params, substream(seed, 2))
     return ViewPair(v1, v2)
 
-
-def with_zero_strength(params: AugmentParams) -> AugmentParams:
-    """Params pinned to the exact identity transform (unit scale, no rotation, no jitter)."""
-    return replace(params, scale_min=1.0, scale_max=1.0, rot_max=0.0,
-                   jitter_sigma=0.0, jitter_clip=0.0)

@@ -60,8 +60,13 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.base_lr < 0:
-            raise ValueError(f"base_lr must be >= 0, got {self.base_lr}")
+        if not 0.0 <= self.base_lr < math.inf:
+            raise ValueError(f"base_lr must be finite and >= 0, got {self.base_lr}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         if self.lr_schedule not in ("constant", "cosine"):
             raise ValueError(f"lr_schedule must be constant or cosine, got {self.lr_schedule!r}")
         if self.loss_kind not in KINDS:

@@ -1,5 +1,7 @@
 """Encoder forward/backward correctness and checkpoint format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from epcontrast import (
     save_checkpoint,
 )
 from epcontrast.encoder import encoder_features
-from epcontrast.errors import CacheError, FormatError
+from epcontrast.errors import CacheError, FormatError, PayloadLengthError, RangeError
 from helpers import rel_err
 
 
@@ -34,6 +36,27 @@ def unflatten(vec, like):
         offset += a.size
     n = len(like.weights)
     return MlpParams(tuple(arrays[:n]), tuple(arrays[n:]))
+
+
+def assert_gradients_match_differences(params, cloud, rng):
+    """Backward against central differences of sum(embedding * upstream)."""
+    upstream = rng.normal(size=(cloud.n, params.weights[-1].shape[0]))
+
+    def scalar(vec):
+        emb, _ = encoder_forward(unflatten(vec, params), cloud)
+        return float(np.sum(emb * upstream))
+
+    _, cache = encoder_forward(params, cloud)
+    grads = flatten(encoder_backward(params, cache, upstream))
+    vec = flatten(params)
+    num = np.zeros_like(vec)
+    h = 1e-5
+    for i in range(vec.size):
+        up, dn = vec.copy(), vec.copy()
+        up[i] += h
+        dn[i] -= h
+        num[i] = (scalar(up) - scalar(dn)) / (2 * h)
+    assert rel_err(grads, num) <= 1e-5
 
 
 class TestInit:
@@ -111,30 +134,12 @@ class TestBackward:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        cloud = random_cloud(rng, n=8)
         # generic point in parameter space: fresh-init biases are exactly 0,
         # which parks dead-row pre-activations on the ReLU kink
         params = encoder_init(9, 6, 4, seed=5).map(
             lambda a: a + rng.normal(scale=0.05, size=a.shape)
         )
-        upstream = rng.normal(size=(8, 4))
-
-        def scalar(vec):
-            p = unflatten(vec, params)
-            emb, _ = encoder_forward(p, cloud)
-            return float(np.sum(emb * upstream))
-
-        emb, cache = encoder_forward(params, cloud)
-        grads = flatten(encoder_backward(params, cache, upstream))
-        vec = flatten(params)
-        num = np.zeros_like(vec)
-        h = 1e-5
-        for i in range(vec.size):
-            up, dn = vec.copy(), vec.copy()
-            up[i] += h
-            dn[i] -= h
-            num[i] = (scalar(up) - scalar(dn)) / (2 * h)
-        assert rel_err(grads, num) <= 1e-5
+        assert_gradients_match_differences(params, random_cloud(rng, n=8), rng)
 
     def test_end_to_end_composition_with_loss(self):
         rng = np.random.default_rng(6)
@@ -176,6 +181,9 @@ class TestBackward:
         _, cache = encoder_forward(small, cloud)
         with pytest.raises(CacheError):
             encoder_backward(big, cache, np.zeros((cloud.n, 4)))
+        deeper = MlpParams(small.weights + (np.eye(4),), small.biases + (np.zeros(4),))
+        with pytest.raises(CacheError, match="7 arrays for 4 layers"):
+            encoder_backward(deeper, cache, np.zeros((cloud.n, 4)))
 
 
 class TestCheckpoint:
@@ -192,3 +200,35 @@ class TestCheckpoint:
         path.write_bytes(b"XXXX" + bytes(16))
         with pytest.raises(FormatError, match="magic"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("size", [4, 8, 10])
+    def test_short_header(self, tmp_path, size):
+        path = tmp_path / "short.epck"
+        path.write_bytes((b"EPCK" + struct.pack("<II", 1, 3))[:size])
+        with pytest.raises(PayloadLengthError, match="header truncated"):
+            load_checkpoint(path)
+
+    def test_non_finite_weight(self, tmp_path):
+        path = tmp_path / "nan.epck"
+        save_checkpoint(encoder_init(9, 4, 3, seed=0), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, 12 + 8, float("nan"))  # layer 0, W[0, 0]
+        path.write_bytes(bytes(blob))
+        with pytest.raises(RangeError, match="non-finite"):
+            load_checkpoint(path)
+
+    def test_four_layer_checkpoint_embeds_with_exact_gradients(self, tmp_path):
+        rng = np.random.default_rng(9)
+        sizes = (9, 7, 6, 5, 3)
+        params = MlpParams(
+            tuple(rng.normal(scale=0.5, size=(o, i)) for i, o in zip(sizes, sizes[1:])),
+            tuple(rng.normal(scale=0.05, size=o) for o in sizes[1:]),
+        )
+        path = tmp_path / "deep.epck"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        assert loaded.layer_sizes == sizes
+        cloud = random_cloud(rng, n=8)
+        emb, _ = encoder_forward(loaded, cloud)
+        assert emb.shape == (8, 3)
+        assert_gradients_match_differences(loaded, cloud, rng)

@@ -1,0 +1,110 @@
+"""Corrupted EPCC scene files and EPCK checkpoints fail with the package's errors.
+
+Random truncations, bit flips and header-field edits of valid files may
+only raise exception classes from ``epcontrast.errors``, and a corrupted
+file that still loads must re-save to exactly its own bytes. The ASCII
+format is not fuzzed here: a flipped bit can make the file invalid UTF-8,
+which the text decoder rejects before the parser sees the line.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from epcontrast import (
+    PointCloud,
+    encoder_init,
+    load_binary,
+    load_checkpoint,
+    save_binary,
+    save_checkpoint,
+)
+from epcontrast import errors
+
+PACKAGE_ERRORS = tuple(
+    obj
+    for obj in vars(errors).values()
+    if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == errors.__name__
+)
+
+FUZZ = settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def corruptions(blob: bytes, fields: list[tuple[int, str]]):
+    """One to three truncations, bit flips or header-field overwrites of ``blob``.
+
+    ``fields`` lists (offset, struct format) of the header's integer fields;
+    an overwrite writes either a small value or any value the field holds.
+    """
+
+    @st.composite
+    def corrupt(draw):
+        data = bytearray(blob)
+        for _ in range(draw(st.integers(1, 3))):
+            op = draw(st.sampled_from(["truncate", "flip", "field"]))
+            if op == "truncate":
+                del data[draw(st.integers(0, len(data))) :]
+            elif op == "flip" and data:
+                bit = draw(st.integers(0, 8 * len(data) - 1))
+                data[bit // 8] ^= 1 << (bit % 8)
+            elif op == "field":
+                offset, fmt = draw(st.sampled_from(fields))
+                size = struct.calcsize(fmt)
+                if offset + size <= len(data):
+                    value = draw(st.integers(0, 8) | st.integers(0, 2 ** (8 * size) - 1))
+                    struct.pack_into(fmt, data, offset, value)
+        return bytes(data)
+
+    return corrupt()
+
+
+def check_load(load, save, blob, path):
+    path.write_bytes(blob)
+    try:
+        loaded = load(path)
+    except PACKAGE_ERRORS:
+        return
+    resaved = path.with_suffix(".resaved")
+    save(loaded, resaved)
+    assert resaved.read_bytes() == blob
+
+
+def saved_bytes(save, obj, path) -> bytes:
+    save(obj, path)
+    return path.read_bytes()
+
+
+EPCC_FIELDS = [(4, "<I"), (8, "<Q"), (16, "<B")]
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+@FUZZ
+@given(data=st.data())
+def test_epcc_corruption(tmp_path, labeled, data):
+    rng = np.random.default_rng(0)
+    labels = rng.integers(0, 4, size=3) if labeled else None
+    cloud = PointCloud(rng.uniform(-2, 2, (3, 3)), rng.uniform(0, 1, (3, 3)), labels)
+    blob = saved_bytes(save_binary, cloud, tmp_path / "clean.epcc")
+    blob = data.draw(corruptions(blob, EPCC_FIELDS))
+    check_load(load_binary, save_binary, blob, tmp_path / "scene.epcc")
+
+
+@FUZZ
+@given(data=st.data())
+def test_epck_corruption(tmp_path, data):
+    params = encoder_init(9, 3, 2, seed=0)
+    fields, offset = [(4, "<I"), (8, "<I")], 12  # version, layer count
+    for w in params.weights:  # each layer's fan_out and fan_in
+        fields += [(offset, "<I"), (offset + 4, "<I")]
+        offset += 8 + 8 * (w.size + w.shape[0])
+    blob = saved_bytes(save_checkpoint, params, tmp_path / "clean.epck")
+    blob = data.draw(corruptions(blob, fields))
+    check_load(load_checkpoint, save_checkpoint, blob, tmp_path / "enc.epck")

@@ -20,7 +20,7 @@ from epcontrast import (
     segment_pool_backward,
 )
 from epcontrast.bench import accounted_bytes
-from epcontrast.errors import EmptyNegativeSetError, ShapeError
+from epcontrast.errors import EmptyNegativeSetError, RangeError, ShapeError
 from epcontrast.losses import _softmax_rows
 from epcontrast.rng import substream
 from helpers import central_diff, eval_loss, random_instance, rel_err
@@ -266,6 +266,16 @@ class TestStructuralProperties:
         for kind in ("ag", "ep"):
             with pytest.raises(ValueError, match="segment assignment"):
                 contrast(kind, EYE2, EYE2, None, SUM_CFG)
+
+    @pytest.mark.parametrize("kind", ["pc", "ag", "cc", "ep"])
+    def test_operands_checked_at_entry(self, kind):
+        bad = EYE2.copy()
+        bad[1, 0] = np.inf
+        for f1, f2 in ((bad, EYE2), (EYE2, bad)):
+            with pytest.raises(RangeError, match="non-finite"):
+                contrast(kind, f1, f2, SEG2, SUM_CFG)
+        with pytest.raises(ShapeError, match=r"\(2, 2\) vs \(2, 3\)"):
+            contrast(kind, EYE2, np.zeros((2, 3)), SEG2, SUM_CFG)
 
 
 class TestSampling:

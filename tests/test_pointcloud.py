@@ -16,7 +16,6 @@ from epcontrast import (
     save_binary,
 )
 from epcontrast.errors import FormatError, ParseError, PayloadLengthError, RangeError, ShapeError
-from epcontrast.pointcloud import with_zero_strength
 from epcontrast.rng import substream
 
 
@@ -85,6 +84,12 @@ class TestAsciiFormat:
         with pytest.raises(RangeError, match=":2"):
             load_ascii(path)
 
+    def test_nan_position_rejected(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("0 0 0 0.5 0.5 0.5\n0 nan 0 0.5 0.5 0.5\n")
+        with pytest.raises(RangeError, match=":2: non-finite position"):
+            load_ascii(path)
+
     def test_mixed_label_modes_rejected(self, tmp_path):
         path = tmp_path / "mixed.txt"
         path.write_text("0 0 0 1 1 1\n0 0 0 1 1 1 3\n")
@@ -120,6 +125,15 @@ class TestBinaryFormat:
         struct.pack_into("<f", blob, 17 + 4 * 4, float("nan"))  # point 0, green
         path.write_bytes(bytes(blob))
         with pytest.raises(RangeError):
+            load_binary(path)
+
+    def test_nan_position_rejected(self, tmp_path):
+        path = tmp_path / "nan.epcc"
+        save_binary(PointCloud(np.zeros((2, 3)), np.ones((2, 3))), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, 17 + 6 * 4 + 2 * 4, float("nan"))  # point 1, z
+        path.write_bytes(bytes(blob))
+        with pytest.raises(RangeError, match="non-finite"):
             load_binary(path)
 
     def test_bad_magic(self, tmp_path):
@@ -195,7 +209,9 @@ class TestMakeViewPair:
     def test_zero_strength_pair_equals_source_exactly(self):
         rng = np.random.default_rng(10)
         cloud = random_cloud(rng)
-        pair = make_view_pair(cloud, with_zero_strength(AugmentParams()), seed=5)
+        identity = AugmentParams(scale_min=1.0, scale_max=1.0, rot_max=0.0,
+                                 jitter_sigma=0.0, jitter_clip=0.0)
+        pair = make_view_pair(cloud, identity, seed=5)
         np.testing.assert_array_equal(pair.view1.positions, cloud.positions)
         np.testing.assert_array_equal(pair.view2.positions, cloud.positions)
 

@@ -107,6 +107,26 @@ def tiny_train_cfg(**kw):
     return TrainConfig(**defaults)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("base_lr", float("inf")),
+            ("base_lr", float("nan")),
+            ("beta1", 1.0),
+            ("beta1", -0.1),
+            ("beta2", 1.5),
+            ("beta2", float("nan")),
+            ("adam_eps", 0.0),
+            ("adam_eps", float("inf")),
+            ("adam_eps", float("nan")),
+        ],
+    )
+    def test_rejects_out_of_domain_optimizer_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+
 class TestPretrain:
     def test_lr_zero_keeps_params_at_init(self):
         scenes = tiny_scenes()
