@@ -5,13 +5,16 @@ per similarity a loss evaluation scores (positives plus negatives), so
 
     accounted_bytes = 8 * (positive_count + negative_count).
 
-The point and segment losses allocate one score buffer of that size and
-exponentiate, normalize and differentiate inside it, so their measured
-(tracemalloc) peak sits near the accounted bytes once the scores outnumber
-the N x C embedding buffers: 1.08x for pc at N = 4000, 1.48x for ag at
-N = 4096, M = 512 and 1.12x at N = 16384, M = 2000. The channel loss's
-peak is set by its N x C buffers (normalized copies and gradients), not
-by its C x C scores: 160 MB against 8 KB accounted at N = 65536, C = 32.
+The point and segment losses never hold that many scores at once: they
+walk the queries in row blocks whose score buffer stays within a fixed
+8 MiB, and exponentiate, normalize and differentiate inside each block's
+buffer. Their measured (tracemalloc) peak is one block plus the N x C
+embedding buffers: 0.11x the accounted bytes for pc at N = 4000, 0.21x for
+ag at N = 8192, M = 1024 and 0.09x at N = 16384, M = 2000; at N = 4096,
+M = 512, whose 16 MiB of scores fill two blocks, it is 0.68x. Sampled pc
+scores only the N x (k + 1) pairs it draws. The channel loss's peak is
+set by its N x C buffers (normalized copies and gradients), not by its
+C x C scores: 128 MiB against 8 KiB accounted at N = 65536, C = 32.
 
 The accounted figures are deterministic and platform-independent: quadratic
 in N for the point loss, linear in N for the segment loss at fixed M, and
@@ -75,7 +78,7 @@ class BenchReport:
         lines = [
             f"loss kind: {self.kind}",
             "accounting: 8 bytes per scored similarity (positives + negatives);",
-            "pc/ag work inside that buffer, cc's peak is its N x C buffers",
+            "pc/ag score it in row blocks of at most 8 MiB, cc's peak is its N x C buffers",
             header,
         ]
         for r in self.rows:

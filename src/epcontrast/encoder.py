@@ -193,4 +193,7 @@ def load_checkpoint(path) -> MlpParams:
         raise PayloadLengthError(
             f"{path}: {len(blob) - offset} trailing bytes after the last layer"
         )
-    return MlpParams(tuple(weights), tuple(biases))
+    try:
+        return MlpParams(tuple(weights), tuple(biases))
+    except (RangeError, ShapeError) as exc:  # name the file, as the layout errors do
+        raise type(exc)(f"{path}: {exc}") from exc

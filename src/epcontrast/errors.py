@@ -41,6 +41,10 @@ class CacheError(ValueError):
     """An activation cache does not match the parameters it is used with."""
 
 
+class DivergenceError(RuntimeError):
+    """A training step produced a non-finite loss, gradient or parameter."""
+
+
 class BudgetError(RuntimeError):
     """A benchmark configuration exceeds the accounted byte budget."""
 

@@ -17,6 +17,10 @@ sets are written, and a flag restores the conventional softmax form. The
 combined objective is the asymmetric-granularity loss plus ``lam`` times
 the channel loss.
 
+The point and segment losses score query rows against key rows in row
+blocks of bounded size (:func:`_rows_contrast`), so their memory does not
+grow with the full (queries x keys) score matrix.
+
 Every loss has a brute-force twin (:func:`brute_force_loss`) that walks
 the pair sets with plain Python loops and no shared code path; tests pit
 the two against each other.
@@ -36,6 +40,14 @@ from .superpoint import SegmentAssignment
 KINDS = ("pc", "ag", "cc", "ep")
 # every kind but the combined "ep" scores one pair scheme (see count_pairs)
 PAIR_KINDS = KINDS[:-1]
+
+# pc and ag walk their queries in row blocks whose float64 buffer stays
+# within this many bytes. Blocks of 2-16 MiB ran pc at N = 4000 and ag at
+# N = 16384, M = 2000 a quarter to a third faster than one full buffer (64
+# MiB: no gain). 8 MiB is the smallest budget that keeps a desk-scale
+# 1024 x 1024 pc buffer in one block, where results keep their bytes; more
+# blocks sum the key gradient in another order.
+_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -106,14 +118,16 @@ def count_pairs(kind: str, n: int, m: int, c: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _softmax_rows(den, pos, pos_col, cfg):
-    """Loss value of the per-anchor -log softmax terms; ``den`` becomes dloss/dscores.
+def _softmax_rows(den, pos, pos_col, cfg, anchors=None):
+    """Per-anchor -log softmax terms; ``den`` becomes dloss/dscores.
 
     den: (A, K) candidate denominator scores (already divided by tau, abs
          applied where the scheme demands it), with -inf at the positive
          and at every other entry outside the anchor's negative set.
     pos: (A,) positive scores (already divided by tau).
     pos_col: (A,) column of each anchor's positive in ``den``.
+    anchors: anchors the loss reduces over (default A); a row block of a
+         larger loss passes the full count so "mean" scales by it.
 
     ``den`` is exponentiated, normalized and turned into the gradient of
     the loss with respect to the scaled scores in place: the softmax mass
@@ -136,18 +150,17 @@ def _softmax_rows(den, pos, pos_col, cfg):
         pos_w = pos_e / denom
     else:
         pos_w = np.zeros_like(pos)
-    value, scale = _reduce(hi + np.log(denom) - pos, cfg.reduction)
+    terms = hi + np.log(denom) - pos
+    scale = 1.0 if cfg.reduction == "sum" else 1.0 / (anchors or den.shape[0])
     den /= denom[:, None]
     den[np.arange(den.shape[0]), pos_col] += pos_w - 1.0
     den *= scale / cfg.tau
-    return value
+    return terms
 
 
-def _reduce(terms: np.ndarray, reduction: str) -> tuple[float, float]:
-    """Loss value and the factor scaling each per-anchor gradient."""
-    if reduction == "sum":
-        return float(terms.sum()), 1.0
-    return float(terms.mean()), 1.0 / terms.shape[0]
+def _reduce(terms: np.ndarray, reduction: str) -> float:
+    """Loss value from the per-anchor terms."""
+    return float(terms.sum() if reduction == "sum" else terms.mean())
 
 
 def _rownorm_backward(x, grad_hat, eps=DEFAULT_EPS):
@@ -202,12 +215,36 @@ def segment_pool_backward(grad_pooled: np.ndarray, seg: SegmentAssignment) -> np
 
 def _sample_negatives(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """(n, k) key columns: per anchor, k distinct negatives drawn uniformly
-    from the n-1 others."""
+    from the n-1 others.
+
+    Floyd's algorithm run for all anchors at once: slot t draws from the
+    first ``top + 1`` candidates and takes ``top`` itself when the draw is
+    already held, which leaves every k-subset equally likely.
+    """
     picks = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        row = rng.choice(n - 1, size=k, replace=False)
-        picks[i] = row + (row >= i)  # skip the anchor itself
-    return picks
+    for t, top in enumerate(range(n - 1 - k, n - 1)):
+        draw = rng.integers(0, top + 1, size=n)
+        held = (picks[:, :t] == draw[:, None]).any(axis=1)
+        picks[:, t] = np.where(held, top, draw)
+    return picks + (picks >= np.arange(n)[:, None])  # skip the anchor itself
+
+
+def _row_blocks(n: int, row_len: int) -> list[slice]:
+    """Consecutive row slices covering range(n), each holding at most
+    _BLOCK_BYTES of float64 rows of ``row_len`` entries (one row when a
+    single row is larger)."""
+    step = max(1, _BLOCK_BYTES // (8 * row_len))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+def _block_terms(scores, pos_col, cfg, anchors):
+    """Scale one block's raw scores by tau, set its positives aside and run
+    the softmax core; ``scores`` becomes the block's dloss/dscores."""
+    scores /= cfg.tau
+    rows = np.arange(scores.shape[0])
+    pos = scores[rows, pos_col]
+    scores[rows, pos_col] = -np.inf
+    return _softmax_rows(scores, pos, pos_col, cfg, anchors)
 
 
 def _rows_contrast(fq, fk, pos_col, cfg, negatives=None):
@@ -216,24 +253,45 @@ def _rows_contrast(fq, fk, pos_col, cfg, negatives=None):
 
     The negatives are every other key, or only the columns ``negatives[i]``
     when given. Returns the value and the gradients with respect to fq and
-    fk; one (rows x keys) score buffer carries the whole computation.
+    fk. The queries are walked in row blocks whose score buffer (rows x
+    keys) or gathered key rows (rows x (k + 1) x C, sampled) stay within
+    _BLOCK_BYTES; each block's buffer becomes its dloss/dscores in place.
+    The per-anchor terms are reduced once, after the last block.
     """
     hq = row_l2_normalize(fq) if cfg.normalize_rows else fq
     hk = row_l2_normalize(fk) if cfg.normalize_rows else fk
-    scores = hq @ hk.T
-    scores /= cfg.tau
-    rows = np.arange(scores.shape[0])
-    pos = scores[rows, pos_col]
+    n, c = hq.shape
+    terms = np.empty(n)
+    ghq = np.empty((n, c))
     if negatives is None:
-        scores[rows, pos_col] = -np.inf
+        for b in _row_blocks(n, hk.shape[0]):
+            d = hq[b] @ hk.T
+            terms[b] = _block_terms(d, pos_col[b], cfg, n)
+            ghq[b] = d @ hk
+            part = d.T @ hq[b]
+            if b.start == 0:
+                ghk = part
+            else:
+                ghk += part
+            del d  # free this block's buffer before the next one is allocated
     else:
-        kept = np.take_along_axis(scores, negatives, axis=1)
-        scores.fill(-np.inf)
-        np.put_along_axis(scores, negatives, kept, axis=1)
-    value = _softmax_rows(scores, pos, pos_col, cfg)
-
-    ghq = scores @ hk
-    ghk = scores.T @ hq
+        # column 0 is the positive, so the key gradient is one scatter
+        cols = np.concatenate((pos_col[:, None], negatives), axis=1)
+        dscores = np.empty(cols.shape)
+        col0 = np.zeros(n, dtype=np.int64)
+        for b in _row_blocks(n, cols.shape[1] * c):
+            keys = hk[cols[b]]  # (rows, k + 1, C)
+            d = np.matmul(keys, hq[b, :, None])[:, :, 0]
+            terms[b] = _block_terms(d, col0[b], cfg, n)
+            ghq[b] = np.matmul(d[:, None, :], keys)[:, 0, :]
+            dscores[b] = d
+            del keys  # likewise
+        ghk = np.empty((hk.shape[0], c))
+        for j in range(c):
+            ghk[:, j] = np.bincount(
+                cols.ravel(), (dscores * hq[:, j, None]).ravel(), minlength=hk.shape[0]
+            )
+    value = _reduce(terms, cfg.reduction)
     gq = _rownorm_backward(fq, ghq) if cfg.normalize_rows else ghq
     gk = _rownorm_backward(fk, ghk) if cfg.normalize_rows else ghk
     return LossOutput(value, gq, gk)
@@ -249,8 +307,10 @@ def point_infonce(
 
     Positives are the matched indices (i, i); negatives all (i, j) with
     j != i, or a per-anchor uniform sample of ``cfg.neg_sample_count`` of
-    them when sampling is enabled. Gradients are exact for whichever
-    denominator was actually used.
+    them when sampling is enabled (and fewer than N - 1). A sampled loss
+    draws all N x k negatives from ``rng`` at once and scores only those
+    pairs and the positives, never the full N x N matrix. Gradients are
+    exact for whichever denominator was actually used.
     """
     f1 = as_matrix(f1, "f1")
     f2 = as_matrix(f2, "f2")
@@ -335,7 +395,7 @@ def channel_contrast(f1: np.ndarray, f2: np.ndarray, cfg: LossConfig) -> LossOut
     pos = np.diagonal(scores).copy()
     den = np.abs(scores)
     np.fill_diagonal(den, -np.inf)
-    value = _softmax_rows(den, pos, np.arange(c), cfg)
+    value = _reduce(_softmax_rows(den, pos, np.arange(c), cfg), cfg.reduction)
     sign = np.sign(gram)  # |.| backward on the negatives only
     np.fill_diagonal(sign, 1.0)
     dgram = den * sign

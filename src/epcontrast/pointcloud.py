@@ -117,8 +117,14 @@ def load_ascii(path) -> PointCloud:
     """Parse an ASCII scene file; see the module docstring for the line format."""
     positions, colors, labels = [], [], []
     has_labels = None
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, so the error can name the line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise ParseError(f"{path}:{lineno}: not valid UTF-8 text") from exc
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -152,9 +158,17 @@ def load_ascii(path) -> PointCloud:
             colors.append(values[3:])
     if not positions:
         raise ParseError(f"{path}: no points found")
-    return PointCloud(
-        np.array(positions), np.array(colors), np.array(labels) if has_labels else None
+    return _loaded_cloud(
+        path, np.array(positions), np.array(colors), np.array(labels) if has_labels else None
     )
+
+
+def _loaded_cloud(path, positions, colors, labels) -> PointCloud:
+    """Build a cloud read from ``path``; a value the cloud rejects names the file."""
+    try:
+        return PointCloud(positions, colors, labels)
+    except (RangeError, ShapeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def save_ascii(cloud: PointCloud, path) -> None:
@@ -212,7 +226,7 @@ def load_binary(path) -> PointCloud:
     if has_labels:
         labels = np.frombuffer(blob, dtype="<u4", count=n, offset=17 + n * 24)
         labels = labels.astype(np.int64)
-    return PointCloud(payload[:, :3], payload[:, 3:], labels)
+    return _loaded_cloud(path, payload[:, :3], payload[:, 3:], labels)
 
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import INPUT_DIM, MlpParams, encoder_backward, encoder_forward, encoder_init
+from .errors import DivergenceError, RangeError
 from .losses import KINDS, LossConfig, contrast
 from .pointcloud import AugmentParams, PointCloud, make_view_pair
 from .rng import derive_seed, substream
@@ -197,31 +198,41 @@ def pretrain(
             batch = order[start : start + train_cfg.batch_size]
             grad_sum: MlpParams | None = None
             loss_sum = 0.0
-            for sidx in batch:
-                sidx = int(sidx)
-                pair = make_view_pair(
-                    scenes[sidx], train_cfg.augment,
-                    derive_seed(train_cfg.seed, _TAG_VIEWS, epoch, sidx),
-                )
-                emb1, cache1 = encoder_forward(params, pair.view1)
-                emb2, cache2 = encoder_forward(params, pair.view2)
-                neg_rng = substream(train_cfg.seed, _TAG_NEG, epoch, sidx)
-                out = contrast(
-                    train_cfg.loss_kind, emb1, emb2, segments[sidx],
-                    train_cfg.loss, neg_rng,
-                )
-                g = encoder_backward(params, cache1, out.grad_f1).zip_map(
-                    encoder_backward(params, cache2, out.grad_f2), np.add
-                )
-                loss_sum += out.value
-                grad_sum = g if grad_sum is None else grad_sum.zip_map(g, np.add)
-            inv = 1.0 / len(batch)
-            grads = grad_sum.map(lambda a: a * inv)
             lr = _scheduled_lr(train_cfg.base_lr, train_cfg.lr_schedule, step, total_steps)
-            params, state = adam_step(
-                params, grads, state, lr,
-                train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps,
-            )
+            # scenes and settings were validated on the way in, so a RangeError
+            # here means a non-finite embedding, loss, gradient or parameter
+            try:
+                for sidx in batch:
+                    sidx = int(sidx)
+                    pair = make_view_pair(
+                        scenes[sidx], train_cfg.augment,
+                        derive_seed(train_cfg.seed, _TAG_VIEWS, epoch, sidx),
+                    )
+                    emb1, cache1 = encoder_forward(params, pair.view1)
+                    emb2, cache2 = encoder_forward(params, pair.view2)
+                    neg_rng = substream(train_cfg.seed, _TAG_NEG, epoch, sidx)
+                    out = contrast(
+                        train_cfg.loss_kind, emb1, emb2, segments[sidx],
+                        train_cfg.loss, neg_rng,
+                    )
+                    if not math.isfinite(out.value):
+                        raise RangeError(f"loss value is {out.value}")
+                    g = encoder_backward(params, cache1, out.grad_f1).zip_map(
+                        encoder_backward(params, cache2, out.grad_f2), np.add
+                    )
+                    loss_sum += out.value
+                    grad_sum = g if grad_sum is None else grad_sum.zip_map(g, np.add)
+                inv = 1.0 / len(batch)
+                grads = grad_sum.map(lambda a: a * inv)
+                params, state = adam_step(
+                    params, grads, state, lr,
+                    train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps,
+                )
+            except RangeError as exc:
+                raise DivergenceError(
+                    f"training diverged at step {step} (epoch {epoch}, scene {sidx}, "
+                    f"lr {lr:g}): {exc}"
+                ) from exc
             history.append((step, epoch, loss_sum * inv, lr))
             step += 1
     return params, history

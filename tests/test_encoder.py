@@ -214,7 +214,7 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         struct.pack_into("<d", blob, 12 + 8, float("nan"))  # layer 0, W[0, 0]
         path.write_bytes(bytes(blob))
-        with pytest.raises(RangeError, match="non-finite"):
+        with pytest.raises(RangeError, match=r"nan\.epck: parameters contain non-finite"):
             load_checkpoint(path)
 
     def test_four_layer_checkpoint_embeds_with_exact_gradients(self, tmp_path):

@@ -1,10 +1,10 @@
-"""Corrupted EPCC scene files and EPCK checkpoints fail with the package's errors.
+"""Corrupted scene files and EPCK checkpoints fail with the package's errors.
 
 Random truncations, bit flips and header-field edits of valid files may
-only raise exception classes from ``epcontrast.errors``, and a corrupted
-file that still loads must re-save to exactly its own bytes. The ASCII
-format is not fuzzed here: a flipped bit can make the file invalid UTF-8,
-which the text decoder rejects before the parser sees the line.
+only raise exception classes from ``epcontrast.errors``. A corrupted binary
+file (EPCC, EPCK) that still loads must re-save to exactly its own bytes;
+a corrupted ASCII scene that still loads must re-save to a file that loads
+back to equal arrays (its text need not match: "1.50" re-saves as "1.5").
 """
 
 import struct
@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from epcontrast import (
     PointCloud,
     encoder_init,
+    load_ascii,
     load_binary,
     load_checkpoint,
+    save_ascii,
     save_binary,
     save_checkpoint,
 )
@@ -41,15 +43,17 @@ FUZZ = settings(
 def corruptions(blob: bytes, fields: list[tuple[int, str]]):
     """One to three truncations, bit flips or header-field overwrites of ``blob``.
 
-    ``fields`` lists (offset, struct format) of the header's integer fields;
-    an overwrite writes either a small value or any value the field holds.
+    ``fields`` lists (offset, struct format) of the header's integer fields
+    (none for a text format); an overwrite writes either a small value or
+    any value the field holds.
     """
+    ops = ["truncate", "flip"] + (["field"] if fields else [])
 
     @st.composite
     def corrupt(draw):
         data = bytearray(blob)
         for _ in range(draw(st.integers(1, 3))):
-            op = draw(st.sampled_from(["truncate", "flip", "field"]))
+            op = draw(st.sampled_from(ops))
             if op == "truncate":
                 del data[draw(st.integers(0, len(data))) :]
             elif op == "flip" and data:
@@ -85,14 +89,36 @@ def saved_bytes(save, obj, path) -> bytes:
 EPCC_FIELDS = [(4, "<I"), (8, "<Q"), (16, "<B")]
 
 
+def small_cloud(labeled: bool) -> PointCloud:
+    rng = np.random.default_rng(0)
+    labels = rng.integers(0, 4, size=3) if labeled else None
+    return PointCloud(rng.uniform(-2, 2, (3, 3)), rng.uniform(0, 1, (3, 3)), labels)
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+@FUZZ
+@given(data=st.data())
+def test_ascii_corruption(tmp_path, labeled, data):
+    blob = saved_bytes(save_ascii, small_cloud(labeled), tmp_path / "clean.txt")
+    path = tmp_path / "scene.txt"
+    path.write_bytes(data.draw(corruptions(blob, [])))
+    try:
+        loaded = load_ascii(path)
+    except PACKAGE_ERRORS:
+        return
+    resaved = path.with_suffix(".resaved")
+    save_ascii(loaded, resaved)
+    back = load_ascii(resaved)
+    np.testing.assert_array_equal(back.positions, loaded.positions)
+    np.testing.assert_array_equal(back.colors, loaded.colors)
+    np.testing.assert_array_equal(back.labels, loaded.labels)
+
+
 @pytest.mark.parametrize("labeled", [False, True])
 @FUZZ
 @given(data=st.data())
 def test_epcc_corruption(tmp_path, labeled, data):
-    rng = np.random.default_rng(0)
-    labels = rng.integers(0, 4, size=3) if labeled else None
-    cloud = PointCloud(rng.uniform(-2, 2, (3, 3)), rng.uniform(0, 1, (3, 3)), labels)
-    blob = saved_bytes(save_binary, cloud, tmp_path / "clean.epcc")
+    blob = saved_bytes(save_binary, small_cloud(labeled), tmp_path / "clean.epcc")
     blob = data.draw(corruptions(blob, EPCC_FIELDS))
     check_load(load_binary, save_binary, blob, tmp_path / "scene.epcc")
 

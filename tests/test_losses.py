@@ -19,9 +19,10 @@ from epcontrast import (
     segment_pool,
     segment_pool_backward,
 )
+from epcontrast import losses
 from epcontrast.bench import accounted_bytes
 from epcontrast.errors import EmptyNegativeSetError, RangeError, ShapeError
-from epcontrast.losses import _softmax_rows
+from epcontrast.losses import _row_blocks, _sample_negatives, _softmax_rows
 from epcontrast.rng import substream
 from helpers import central_diff, eval_loss, random_instance, rel_err
 
@@ -278,7 +279,104 @@ class TestStructuralProperties:
             contrast(kind, EYE2, np.zeros((2, 3)), SEG2, SUM_CFG)
 
 
+class TestRowBlocks:
+    """The kernels' row blocks, forced down to three rows so oracle-scale
+    instances span several of them, still meet the oracle and the gradient
+    checks."""
+
+    CONFIGS = [
+        LossConfig(reduction="sum"),
+        LossConfig(reduction="mean", include_positive_in_denominator=True),
+        LossConfig(reduction="sum", normalize_rows=False, tau=0.5),
+        LossConfig(reduction="mean", symmetric_ag=True),
+        LossConfig(reduction="sum", symmetric_ag=True, include_positive_in_denominator=True),
+    ]
+
+    @staticmethod
+    def three_row_blocks(monkeypatch, n, row_len):
+        monkeypatch.setattr(losses, "_BLOCK_BYTES", 8 * row_len * 3)
+        assert [b.stop - b.start for b in _row_blocks(n, row_len)][:2] == [3, 3]
+
+    @pytest.mark.parametrize("kind", ["pc", "ag"])
+    def test_oracle_across_blocks(self, kind, monkeypatch):
+        rng = substream(815, 0)
+        for _ in range(4):
+            n = int(rng.integers(30, 65))
+            m = int(rng.integers(3, 9))
+            f1, f2, seg = random_instance(rng, n, 4, m)
+            self.three_row_blocks(monkeypatch, n, n if kind == "pc" else m)
+            for cfg in self.CONFIGS:
+                got = eval_loss(kind, f1, f2, seg, cfg).value
+                want = brute_force_loss(kind, f1, f2, seg, cfg)
+                if kind == "ag" and cfg.symmetric_ag:  # the oracle walks one direction
+                    want = 0.5 * (want + brute_force_loss(kind, f2, f1, seg, cfg))
+                assert rel_err(got, want) <= 1e-10, (kind, n, m, cfg)
+
+    @pytest.mark.parametrize("kind", ["pc", "ag", "pc_sampled"])
+    def test_gradients_across_blocks(self, kind, monkeypatch):
+        rng = substream(816, 0)
+        n, c, m, k = 16, 3, 4, 5
+        f1, f2, seg = random_instance(rng, n, c, m)
+        self.three_row_blocks(monkeypatch, n, {"pc": n, "ag": m, "pc_sampled": (k + 1) * c}[kind])
+        for cfg in self.CONFIGS:
+            if kind == "pc_sampled":
+                cfg = LossConfig(**{**vars(cfg), "neg_sample_count": k})
+
+            def run(a, b):
+                return eval_loss(kind[:2], a, b, seg, cfg, substream(56, 0))
+
+            out = run(f1, f2)
+            num1 = central_diff(lambda x: run(x, f2).value, f1)
+            num2 = central_diff(lambda x: run(f1, x).value, f2)
+            assert rel_err(out.grad_f1, num1) <= 1e-5, (kind, cfg)
+            assert rel_err(out.grad_f2, num2) <= 1e-5, (kind, cfg)
+
+
 class TestSampling:
+    def test_sampler_draws_distinct_in_range_negatives(self):
+        for n, k in ((3, 1), (10, 3), (10, 8), (200, 64)):
+            picks = _sample_negatives(n, k, substream(817, n, k))
+            assert picks.shape == (n, k)
+            assert np.all((picks >= 0) & (picks < n))
+            assert not np.any(picks == np.arange(n)[:, None])
+            assert np.all(np.diff(np.sort(picks, axis=1), axis=1) > 0)
+
+    def test_sampler_marginals_are_uniform(self):
+        n, k, streams = 6, 2, 3000
+        counts = np.zeros((n, n))
+        for s in range(streams):
+            picks = _sample_negatives(n, k, substream(818, s))
+            np.add.at(counts, (np.repeat(np.arange(n), k), picks.ravel()), 1)
+        p = k / (n - 1)  # each of the n - 1 other columns, per anchor
+        sd = np.sqrt(streams * p * (1 - p))
+        off = ~np.eye(n, dtype=bool)
+        assert np.all(np.diag(counts) == 0)
+        assert np.all(np.abs(counts[off] - streams * p) <= 5 * sd)
+
+    def test_sampled_loss_matches_loop_over_drawn_negatives(self):
+        rng = substream(819, 0)
+        f1, f2, _ = random_instance(rng, 12, 4, 2)
+        for cfg in (LossConfig(reduction="mean", neg_sample_count=4),
+                    LossConfig(reduction="sum", neg_sample_count=7, tau=0.5,
+                               include_positive_in_denominator=True),
+                    LossConfig(reduction="sum", neg_sample_count=1, normalize_rows=False)):
+            negatives = _sample_negatives(12, cfg.neg_sample_count, substream(57, 0))
+            got = point_infonce(f1, f2, cfg, substream(57, 0)).value
+            h1, h2 = f1, f2
+            if cfg.normalize_rows:
+                h1 = f1 / np.linalg.norm(f1, axis=1, keepdims=True)
+                h2 = f2 / np.linalg.norm(f2, axis=1, keepdims=True)
+            want = 0.0
+            for i in range(12):
+                pos = float(h1[i] @ h2[i]) / cfg.tau
+                den = sum(np.exp(float(h1[i] @ h2[j]) / cfg.tau) for j in negatives[i])
+                if cfg.include_positive_in_denominator:
+                    den += np.exp(pos)
+                want += np.log(den) - pos
+            if cfg.reduction == "mean":
+                want /= 12
+            assert rel_err(got, want) <= 1e-10
+
     def test_oversampling_uses_all_negatives_bitwise(self):
         rng = substream(809, 0)
         f1, f2, _ = random_instance(rng, 7, 3, 2)
@@ -325,8 +423,9 @@ class TestPairCounting:
 
 
 class TestMemory:
-    """The kernels carry one score buffer: tracemalloc's peak stays within
-    twice the accounted bytes (8 per scored similarity)."""
+    """The kernels carry one score buffer, or one row block of it: tracemalloc's
+    peak stays within twice the accounted bytes (8 per scored similarity),
+    and within them once the scores fill several blocks."""
 
     @staticmethod
     def peak_bytes(fn):
@@ -348,3 +447,11 @@ class TestMemory:
         f1, f2, seg = random_instance(rng, 4096, 32, 512)
         peak = self.peak_bytes(lambda: ag_contrast(f1, f2, seg, LossConfig()))
         assert peak <= 2 * accounted_bytes("ag", 4096, 512, 32)
+
+    def test_blocked_segment_loss_peak_within_accounting(self):
+        rng = substream(820, 0)
+        f1, f2, seg = random_instance(rng, 8192, 32, 1024)
+        accounted = accounted_bytes("ag", 8192, 1024, 32)
+        assert accounted >= 8 * losses._BLOCK_BYTES
+        peak = self.peak_bytes(lambda: ag_contrast(f1, f2, seg, LossConfig()))
+        assert peak <= accounted

@@ -90,6 +90,12 @@ class TestAsciiFormat:
         with pytest.raises(RangeError, match=":2: non-finite position"):
             load_ascii(path)
 
+    def test_invalid_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(b"0 0 0 1 1 1\n# caf\xc3\xa9\n0 0 0 1 1 1\xff\n")
+        with pytest.raises(ParseError, match=r"bytes\.txt:3: not valid UTF-8"):
+            load_ascii(path)
+
     def test_mixed_label_modes_rejected(self, tmp_path):
         path = tmp_path / "mixed.txt"
         path.write_text("0 0 0 1 1 1\n0 0 0 1 1 1 3\n")
@@ -124,7 +130,7 @@ class TestBinaryFormat:
         blob = bytearray(path.read_bytes())
         struct.pack_into("<f", blob, 17 + 4 * 4, float("nan"))  # point 0, green
         path.write_bytes(bytes(blob))
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match=r"nan\.epcc: color"):
             load_binary(path)
 
     def test_nan_position_rejected(self, tmp_path):
@@ -133,7 +139,7 @@ class TestBinaryFormat:
         blob = bytearray(path.read_bytes())
         struct.pack_into("<f", blob, 17 + 6 * 4 + 2 * 4, float("nan"))  # point 1, z
         path.write_bytes(bytes(blob))
-        with pytest.raises(RangeError, match="non-finite"):
+        with pytest.raises(RangeError, match=r"nan\.epcc: positions contain non-finite"):
             load_binary(path)
 
     def test_bad_magic(self, tmp_path):

@@ -16,6 +16,7 @@ from epcontrast import (
     linear_probe,
     pretrain,
 )
+from epcontrast.errors import DivergenceError
 from epcontrast.pointcloud import AugmentParams
 from epcontrast.rng import derive_seed, substream
 from epcontrast.trainer import class_palette, optim_init
@@ -161,6 +162,14 @@ class TestPretrain:
             cfg = tiny_train_cfg(loss_kind=kind)
             _, history = pretrain(scenes, cfg, KMeansConfig(target_segments=4))
             assert len(history) == 2
+
+    @pytest.mark.parametrize("kind", ["pc", "ep"])
+    def test_divergence_names_step_epoch_and_scene(self, kind):
+        scenes = tiny_scenes(count=4)
+        cfg = tiny_train_cfg(epochs=2, base_lr=1e300, loss_kind=kind)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=r"step \d+ \(epoch \d, scene \d,"):
+                pretrain(scenes, cfg, KMeansConfig(target_segments=4))
 
     def test_cosine_schedule_decays(self):
         scenes = tiny_scenes(count=4)
