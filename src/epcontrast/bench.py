@@ -145,7 +145,6 @@ def bench_loss(
     False). A configuration whose accounted bytes exceed ``byte_budget``
     raises :class:`BudgetError` naming the offending size.
     """
-    kind = kind.lower()
     if kind not in PAIR_KINDS:
         raise ValueError(f"bench kind must be {'/'.join(PAIR_KINDS)}, got {kind!r}")
     if not sizes or list(sizes) != sorted(sizes):

@@ -3,8 +3,8 @@
 Subcommands: ``gen`` (write synthetic scenes), ``segment`` (superpoint ids
 for one scene), ``pretrain`` (contrastive pre-training to a checkpoint +
 loss CSV), ``probe`` (linear-probe accuracy of a checkpoint), ``bench``
-(pair-count/byte scaling report), ``check`` (oracle and gradient
-self-tests).
+(pair-count/byte scaling report), ``check`` (the oracle and gradient
+sweeps of :mod:`epcontrast.selfcheck`).
 
 Settings come from a plain-text config file of ``key = value`` lines with
 ``#`` comments and dot-namespaced keys; every key has a documented default
@@ -21,15 +21,14 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bench as bench_mod
 from .encoder import load_checkpoint, save_checkpoint
 from .errors import ConfigError
-from .losses import KINDS, PAIR_KINDS, LossConfig, brute_force_loss, contrast
+from .losses import KINDS, PAIR_KINDS, LossConfig
 from .pointcloud import AugmentParams, PointCloud, load_ascii, load_binary, save_binary
 from .rng import substream
-from .superpoint import KMeansConfig, SegmentAssignment, kmeans_segments
+from .selfcheck import gradient_mismatches, oracle_mismatches
+from .superpoint import KMeansConfig, kmeans_segments
 from .trainer import (
     ProbeConfig,
     SyntheticSceneConfig,
@@ -335,86 +334,14 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# the `check` suites: oracle equivalence and gradient agreement
-# ---------------------------------------------------------------------------
-
-
-def _random_instance(rng, n, c, m):
-    f1 = rng.normal(size=(n, c))
-    f2 = rng.normal(size=(n, c))
-    ids = np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])
-    seg = SegmentAssignment(np.sort(ids).astype(np.int64), m)
-    return f1, f2, seg
-
-
-def _check_oracles(instances=25) -> list[str]:
-    failures = []
-    rng = substream(1345, 0)
-    for kind in KINDS:
-        for i in range(instances):
-            n = int(rng.integers(3, 33))
-            c = int(rng.integers(2, 9))
-            m = int(rng.integers(2, min(9, n + 1)))
-            f1, f2, seg = _random_instance(rng, n, c, m)
-            for include_pos in (False, True):
-                for normalize in (False, True):
-                    cfg = LossConfig(
-                        reduction="sum",
-                        include_positive_in_denominator=include_pos,
-                        normalize_rows=normalize,
-                        normalize_channels=normalize,
-                    )
-                    got = contrast(kind, f1, f2, seg, cfg).value
-                    want = brute_force_loss(kind, f1, f2, seg, cfg)
-                    tol = 1e-10 * max(1.0, abs(want))
-                    if abs(got - want) > tol:
-                        failures.append(
-                            f"oracle mismatch: kind={kind} instance={i} "
-                            f"include_pos={include_pos} normalize={normalize} "
-                            f"got={got!r} want={want!r}"
-                        )
-    return failures
-
-
-def _check_gradients(instances=5, step=1e-5, tol=1e-5) -> list[str]:
-    failures = []
-    rng = substream(1346, 0)
-    for kind in KINDS:
-        for i in range(instances):
-            n = int(rng.integers(4, 8))
-            c = int(rng.integers(3, 6))
-            m = int(rng.integers(2, 4))
-            f1, f2, seg = _random_instance(rng, n, c, m)
-            cfg = LossConfig(reduction="mean")
-            out = contrast(kind, f1, f2, seg, cfg)
-            for name, base, grad in (("f1", f1, out.grad_f1), ("f2", f2, out.grad_f2)):
-                num = np.zeros_like(base)
-                for idx in np.ndindex(base.shape):
-                    bumped = base.copy()
-                    bumped[idx] += step
-                    up = contrast(kind, bumped if name == "f1" else f1,
-                                  bumped if name == "f2" else f2, seg, cfg).value
-                    bumped[idx] -= 2 * step
-                    dn = contrast(kind, bumped if name == "f1" else f1,
-                                  bumped if name == "f2" else f2, seg, cfg).value
-                    num[idx] = (up - dn) / (2 * step)
-                denom = np.maximum(1.0, np.maximum(np.abs(num), np.abs(grad)))
-                err = float(np.max(np.abs(num - grad) / denom))
-                if err > tol:
-                    failures.append(
-                        f"gradient mismatch: kind={kind} instance={i} wrt {name} "
-                        f"max rel err {err:.2e}"
-                    )
-    return failures
-
-
 def _cmd_check(args) -> int:
     del args
     ok = True
-    for label, suite in (("oracle equivalence", _check_oracles),
-                         ("gradient agreement", _check_gradients)):
-        failures = suite()
+    for label, sweep, stream, instances in (
+        ("oracle equivalence", oracle_mismatches, 1345, 25),
+        ("gradient agreement", gradient_mismatches, 1346, 5),
+    ):
+        failures = sweep(substream(stream, 0), instances)
         if failures:
             ok = False
             print(f"{label}: FAIL ({len(failures)} mismatches)")

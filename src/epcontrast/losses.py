@@ -22,8 +22,9 @@ blocks of bounded size (:func:`_rows_contrast`), so their memory does not
 grow with the full (queries x keys) score matrix.
 
 Every loss has a brute-force twin (:func:`brute_force_loss`) that walks
-the pair sets with plain Python loops and no shared code path; tests pit
-the two against each other.
+the pair sets with plain Python loops and no shared code path, both
+directions of a symmetric segment loss included; the sweeps in
+:mod:`epcontrast.selfcheck` pit the two against each other.
 """
 
 from __future__ import annotations
@@ -103,7 +104,6 @@ def count_pairs(kind: str, n: int, m: int, c: int) -> tuple[int, int]:
     """(positive, negative) pair counts for a scheme at the given sizes."""
     if min(n, m, c) < 1:
         raise ValueError(f"sizes must be >= 1, got n={n}, m={m}, c={c}")
-    kind = kind.lower()
     if kind == "pc":
         return n, n * n - n
     if kind == "ag":
@@ -584,11 +584,13 @@ def brute_force_loss(
 ) -> float:
     """Reference value for a loss, computed with explicit pair loops.
 
-    Sampling is never applied; ``counter`` (if given) tallies one bump per
-    similarity evaluation, matching :func:`count_pairs`. Inputs are capped
-    at oracle scale (N <= 256, C <= 64, M <= 64).
+    Sampling is never applied. With ``cfg.symmetric_ag`` the segment term
+    of "ag" and "ep" is the mean of the two directions, each walked by its
+    own loop. ``counter`` (if given) tallies one bump per similarity
+    evaluation, matching :func:`count_pairs` per direction walked (so twice
+    its "ag" count for a symmetric segment term). Inputs are capped at
+    oracle scale (N <= 256, C <= 64, M <= 64).
     """
-    kind = kind.lower()
     if kind not in KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     f1 = as_matrix(f1, "f1")
@@ -601,12 +603,11 @@ def brute_force_loss(
     b = as_matrix(f2, "f2").tolist()
     if kind == "pc":
         return _bf_pc(a, b, cfg, counter)
-    if kind == "ag":
-        if seg is None:
-            raise ValueError("segment loss needs a segment assignment")
-        return _bf_ag(a, b, seg, cfg, counter)
     if kind == "cc":
         return _bf_cc(a, b, cfg, counter)
     if seg is None:
-        raise ValueError("combined loss needs a segment assignment")
-    return _bf_ag(a, b, seg, cfg, counter) + cfg.lam * _bf_cc(a, b, cfg, counter)
+        raise ValueError(f"loss kind {kind!r} needs a segment assignment")
+    ag = _bf_ag(a, b, seg, cfg, counter)
+    if cfg.symmetric_ag:
+        ag = 0.5 * (ag + _bf_ag(b, a, seg, cfg, counter))
+    return ag if kind == "ag" else ag + cfg.lam * _bf_cc(a, b, cfg, counter)

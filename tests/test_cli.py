@@ -1,8 +1,10 @@
 """End-to-end command-line behavior through cli_main."""
 
+from dataclasses import replace
+
 import pytest
 
-from epcontrast import load_binary, load_checkpoint
+from epcontrast import load_binary, load_checkpoint, losses
 from epcontrast.cli import DEFAULTS, RunConfig, cli_main
 from epcontrast.errors import ConfigError
 
@@ -138,3 +140,16 @@ class TestCheck:
         assert code == 0
         assert "oracle equivalence: ok" in stdout
         assert "gradient agreement: ok" in stdout
+
+    def test_check_fails_on_an_oracle_mismatch(self, capsys, monkeypatch):
+        real = losses.channel_contrast
+
+        def off_by_1e6(f1, f2, cfg):
+            out = real(f1, f2, cfg)
+            return replace(out, value=out.value + 1e-6)
+
+        monkeypatch.setattr(losses, "channel_contrast", off_by_1e6)
+        code, stdout, stderr = run(capsys, "check")
+        assert code == 1
+        assert "oracle equivalence: FAIL" in stdout
+        assert "kind=cc" in stderr

@@ -18,7 +18,7 @@ from epcontrast import (
 )
 from epcontrast.encoder import encoder_features
 from epcontrast.errors import CacheError, FormatError, PayloadLengthError, RangeError
-from helpers import rel_err
+from epcontrast.selfcheck import central_diff, rel_err
 
 
 def random_cloud(rng, n=8):
@@ -48,15 +48,7 @@ def assert_gradients_match_differences(params, cloud, rng):
 
     _, cache = encoder_forward(params, cloud)
     grads = flatten(encoder_backward(params, cache, upstream))
-    vec = flatten(params)
-    num = np.zeros_like(vec)
-    h = 1e-5
-    for i in range(vec.size):
-        up, dn = vec.copy(), vec.copy()
-        up[i] += h
-        dn[i] -= h
-        num[i] = (scalar(up) - scalar(dn)) / (2 * h)
-    assert rel_err(grads, num) <= 1e-5
+    assert rel_err(grads, central_diff(scalar, flatten(params))) <= 1e-5
 
 
 class TestInit:
@@ -163,15 +155,7 @@ class TestBackward:
                 encoder_backward(params, c2, out.grad_f2), np.add
             )
         )
-        vec = flatten(params)
-        num = np.zeros_like(vec)
-        h = 1e-5
-        for i in range(vec.size):
-            up, dn = vec.copy(), vec.copy()
-            up[i] += h
-            dn[i] -= h
-            num[i] = (total(up) - total(dn)) / (2 * h)
-        assert rel_err(grads, num) <= 1e-5
+        assert rel_err(grads, central_diff(total, flatten(params))) <= 1e-5
 
     def test_stale_cache_rejected(self):
         rng = np.random.default_rng(7)

@@ -10,6 +10,7 @@ from epcontrast import (
     LossConfig,
     SegmentAssignment,
     ag_contrast,
+    bench_loss,
     brute_force_loss,
     channel_contrast,
     contrast,
@@ -24,7 +25,14 @@ from epcontrast.bench import accounted_bytes
 from epcontrast.errors import EmptyNegativeSetError, RangeError, ShapeError
 from epcontrast.losses import _row_blocks, _sample_negatives, _softmax_rows
 from epcontrast.rng import substream
-from helpers import central_diff, eval_loss, random_instance, rel_err
+from epcontrast.selfcheck import (
+    ORACLE_CONFIGS,
+    central_diff,
+    gradient_mismatches,
+    oracle_mismatches,
+    random_instance,
+    rel_err,
+)
 
 EYE2 = np.eye(2)
 SEG2 = SegmentAssignment(np.array([0, 1]), 2)
@@ -104,57 +112,15 @@ class TestWorkedExamples:
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("kind", ["pc", "ag", "cc", "ep"])
-    def test_hundred_instances_all_modes(self, kind):
-        rng = substream(800, 0)
-        for i in range(100):
-            n = int(rng.integers(2, 65))
-            c = int(rng.integers(2, 9))
-            m = int(rng.integers(2, min(9, n + 1)))
-            f1, f2, seg = random_instance(rng, n, c, m)
-            for include_pos in (False, True):
-                for normalize in (False, True):
-                    cfg = LossConfig(
-                        reduction="sum",
-                        include_positive_in_denominator=include_pos,
-                        normalize_rows=normalize,
-                        normalize_channels=normalize,
-                    )
-                    got = eval_loss(kind, f1, f2, seg, cfg).value
-                    want = brute_force_loss(kind, f1, f2, seg, cfg)
-                    assert rel_err(got, want) <= 1e-10, (
-                        f"{kind} instance {i} include_pos={include_pos} "
-                        f"normalize={normalize}: {got} vs {want}"
-                    )
-
-    def test_mean_reduction_agrees_too(self):
-        rng = substream(801, 0)
-        f1, f2, seg = random_instance(rng, 12, 4, 3)
-        cfg = LossConfig(reduction="mean")
-        for kind in ("pc", "ag", "cc", "ep"):
-            got = eval_loss(kind, f1, f2, seg, cfg).value
-            want = brute_force_loss(kind, f1, f2, seg, cfg)
-            assert rel_err(got, want) <= 1e-10
+    def test_sweep(self):
+        """Every kind and ORACLE_CONFIGS entry against the brute-force oracle."""
+        assert oracle_mismatches(substream(800, 0), 100) == []
 
 
 class TestGradients:
-    @pytest.mark.parametrize("kind", ["pc", "ag", "cc", "ep"])
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_against_central_differences(self, kind, normalize):
-        rng = substream(802, 0)
-        for _ in range(5):
-            n = int(rng.integers(4, 9))
-            c = int(rng.integers(3, 6))
-            m = int(rng.integers(2, 4))
-            f1, f2, seg = random_instance(rng, n, c, m)
-            cfg = LossConfig(
-                reduction="mean", normalize_rows=normalize, normalize_channels=normalize
-            )
-            out = eval_loss(kind, f1, f2, seg, cfg)
-            num1 = central_diff(lambda x: eval_loss(kind, x, f2, seg, cfg).value, f1)
-            num2 = central_diff(lambda x: eval_loss(kind, f1, x, seg, cfg).value, f2)
-            assert rel_err(out.grad_f1, num1) <= 1e-5
-            assert rel_err(out.grad_f2, num2) <= 1e-5
+    def test_central_difference_sweep(self):
+        """Every kind and ORACLE_CONFIGS entry against central differences."""
+        assert gradient_mismatches(substream(802, 0), 5) == []
 
     def test_sampled_denominator_gradients_are_exact(self):
         rng = substream(803, 0)
@@ -268,6 +234,14 @@ class TestStructuralProperties:
             with pytest.raises(ValueError, match="segment assignment"):
                 contrast(kind, EYE2, EYE2, None, SUM_CFG)
 
+    def test_kind_names_are_exact(self):
+        with pytest.raises(ValueError, match="PC"):
+            count_pairs("PC", 4, 2, 2)
+        with pytest.raises(ValueError, match="PC"):
+            brute_force_loss("PC", EYE2, EYE2, cfg=SUM_CFG)
+        with pytest.raises(ValueError, match="PC"):
+            bench_loss("PC", [4], measure=False)
+
     @pytest.mark.parametrize("kind", ["pc", "ag", "cc", "ep"])
     def test_operands_checked_at_entry(self, kind):
         bad = EYE2.copy()
@@ -284,14 +258,6 @@ class TestRowBlocks:
     instances span several of them, still meet the oracle and the gradient
     checks."""
 
-    CONFIGS = [
-        LossConfig(reduction="sum"),
-        LossConfig(reduction="mean", include_positive_in_denominator=True),
-        LossConfig(reduction="sum", normalize_rows=False, tau=0.5),
-        LossConfig(reduction="mean", symmetric_ag=True),
-        LossConfig(reduction="sum", symmetric_ag=True, include_positive_in_denominator=True),
-    ]
-
     @staticmethod
     def three_row_blocks(monkeypatch, n, row_len):
         monkeypatch.setattr(losses, "_BLOCK_BYTES", 8 * row_len * 3)
@@ -305,11 +271,9 @@ class TestRowBlocks:
             m = int(rng.integers(3, 9))
             f1, f2, seg = random_instance(rng, n, 4, m)
             self.three_row_blocks(monkeypatch, n, n if kind == "pc" else m)
-            for cfg in self.CONFIGS:
-                got = eval_loss(kind, f1, f2, seg, cfg).value
+            for cfg in ORACLE_CONFIGS:
+                got = contrast(kind, f1, f2, seg, cfg).value
                 want = brute_force_loss(kind, f1, f2, seg, cfg)
-                if kind == "ag" and cfg.symmetric_ag:  # the oracle walks one direction
-                    want = 0.5 * (want + brute_force_loss(kind, f2, f1, seg, cfg))
                 assert rel_err(got, want) <= 1e-10, (kind, n, m, cfg)
 
     @pytest.mark.parametrize("kind", ["pc", "ag", "pc_sampled"])
@@ -318,12 +282,12 @@ class TestRowBlocks:
         n, c, m, k = 16, 3, 4, 5
         f1, f2, seg = random_instance(rng, n, c, m)
         self.three_row_blocks(monkeypatch, n, {"pc": n, "ag": m, "pc_sampled": (k + 1) * c}[kind])
-        for cfg in self.CONFIGS:
+        for cfg in ORACLE_CONFIGS:
             if kind == "pc_sampled":
                 cfg = LossConfig(**{**vars(cfg), "neg_sample_count": k})
 
             def run(a, b):
-                return eval_loss(kind[:2], a, b, seg, cfg, substream(56, 0))
+                return contrast(kind[:2], a, b, seg, cfg, substream(56, 0))
 
             out = run(f1, f2)
             num1 = central_diff(lambda x: run(x, f2).value, f1)
@@ -415,11 +379,14 @@ class TestPairCounting:
         for include_pos in (False, True):
             n, c, m = 11, 5, 4
             f1, f2, seg = random_instance(rng, n, c, m)
-            counter = EvalCounter()
-            cfg = LossConfig(reduction="sum", include_positive_in_denominator=include_pos)
-            brute_force_loss(kind, f1, f2, seg, cfg, counter)
             pos, neg = count_pairs(kind, n, m, c)
-            assert counter.count == pos + neg
+            for symmetric in (False, True):
+                counter = EvalCounter()
+                cfg = LossConfig(reduction="sum", include_positive_in_denominator=include_pos,
+                                 symmetric_ag=symmetric)
+                brute_force_loss(kind, f1, f2, seg, cfg, counter)
+                directions = 2 if kind == "ag" and symmetric else 1
+                assert counter.count == directions * (pos + neg)
 
 
 class TestMemory:
