@@ -66,17 +66,20 @@ def central_diff(fn, x, h=1e-5):
     return grad
 
 
-def oracle_mismatches(rng, instances: int) -> list[str]:
+def oracle_mismatches(rng, instances: int, *, kinds=KINDS, configs=ORACLE_CONFIGS) -> list[str]:
     """Loss values against :func:`brute_force_loss` on ``instances`` draws
-    of N in [2, 64], C in [2, 8], M in [2, min(8, N)]."""
+    of N in [2, 64], C in [2, 8], M in [2, min(8, N)].
+
+    ``kinds`` and ``configs`` narrow what runs on each instance, not the
+    draws: the same stream gives the same instances for any subset."""
     failures = []
     for i in range(instances):
         n = int(rng.integers(2, 65))
         c = int(rng.integers(2, 9))
         m = int(rng.integers(2, min(9, n + 1)))
         f1, f2, seg = random_instance(rng, n, c, m)
-        for cfg in ORACLE_CONFIGS:
-            for kind in KINDS:
+        for cfg in configs:
+            for kind in kinds:
                 got = contrast(kind, f1, f2, seg, cfg).value
                 want = brute_force_loss(kind, f1, f2, seg, cfg)
                 if rel_err(got, want) > ORACLE_TOL:
@@ -87,17 +90,18 @@ def oracle_mismatches(rng, instances: int) -> list[str]:
     return failures
 
 
-def gradient_mismatches(rng, instances: int) -> list[str]:
+def gradient_mismatches(rng, instances: int, *, kinds=KINDS, configs=ORACLE_CONFIGS) -> list[str]:
     """Gradients with respect to both views against central differences on
-    ``instances`` draws of N in [4, 8], C in [3, 5], M in [2, 3]."""
+    ``instances`` draws of N in [4, 8], C in [3, 5], M in [2, 3]; ``kinds``
+    and ``configs`` as in :func:`oracle_mismatches`."""
     failures = []
     for i in range(instances):
         n = int(rng.integers(4, 9))
         c = int(rng.integers(3, 6))
         m = int(rng.integers(2, 4))
         f1, f2, seg = random_instance(rng, n, c, m)
-        for cfg in ORACLE_CONFIGS:
-            for kind in KINDS:
+        for cfg in configs:
+            for kind in kinds:
                 out = contrast(kind, f1, f2, seg, cfg)
                 num1 = central_diff(lambda x: contrast(kind, x, f2, seg, cfg).value, f1)
                 num2 = central_diff(lambda x: contrast(kind, f1, x, seg, cfg).value, f2)

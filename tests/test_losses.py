@@ -23,7 +23,7 @@ from epcontrast import (
 from epcontrast import losses
 from epcontrast.bench import accounted_bytes
 from epcontrast.errors import EmptyNegativeSetError, RangeError, ShapeError
-from epcontrast.losses import _row_blocks, _sample_negatives, _softmax_rows
+from epcontrast.losses import KINDS, _row_blocks, _sample_negatives, _softmax_rows
 from epcontrast.rng import substream
 from epcontrast.selfcheck import (
     ORACLE_CONFIGS,
@@ -112,15 +112,31 @@ class TestWorkedExamples:
 
 
 class TestOracleEquivalence:
-    def test_sweep(self):
-        """Every kind and ORACLE_CONFIGS entry against the brute-force oracle."""
-        assert oracle_mismatches(substream(800, 0), 100) == []
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_hundred_instances_all_modes(self, kind):
+        """Every ORACLE_CONFIGS entry against the brute-force oracle."""
+        assert oracle_mismatches(substream(800, 0), 100, kinds=(kind,)) == []
+
+    def test_mean_reduction_agrees_too(self):
+        """The default configuration, which ORACLE_CONFIGS does not hold."""
+        f1, f2, seg = random_instance(substream(801, 0), 12, 4, 3)
+        cfg = LossConfig()
+        for kind in KINDS:
+            got = contrast(kind, f1, f2, seg, cfg).value
+            assert rel_err(got, brute_force_loss(kind, f1, f2, seg, cfg)) <= 1e-10
 
 
 class TestGradients:
-    def test_central_difference_sweep(self):
-        """Every kind and ORACLE_CONFIGS entry against central differences."""
-        assert gradient_mismatches(substream(802, 0), 5) == []
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_against_central_differences(self, kind, normalize):
+        """The mean-reduction config with row and channel normalization off
+        or on, and the ORACLE_CONFIGS entries with the same row setting."""
+        configs = (
+            LossConfig(reduction="mean", normalize_rows=normalize, normalize_channels=normalize),
+        ) + tuple(cfg for cfg in ORACLE_CONFIGS if cfg.normalize_rows == normalize)
+        rng = substream(802, 0)
+        assert gradient_mismatches(rng, 5, kinds=(kind,), configs=configs) == []
 
     def test_sampled_denominator_gradients_are_exact(self):
         rng = substream(803, 0)
