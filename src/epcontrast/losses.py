@@ -35,20 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyNegativeSetError, PartitionError, ShapeError
-from .numcore import DEFAULT_EPS, as_matrix, col_l2_normalize, row_l2_normalize
+from .numcore import DEFAULT_EPS, _row_blocks, as_matrix, col_l2_normalize, row_l2_normalize
 from .superpoint import SegmentAssignment
 
 KINDS = ("pc", "ag", "cc", "ep")
 # every kind but the combined "ep" scores one pair scheme (see count_pairs)
 PAIR_KINDS = KINDS[:-1]
-
-# pc and ag walk their queries in row blocks whose float64 buffer stays
-# within this many bytes. Blocks of 2-16 MiB ran pc at N = 4000 and ag at
-# N = 16384, M = 2000 a quarter to a third faster than one full buffer (64
-# MiB: no gain). 8 MiB is the smallest budget that keeps a desk-scale
-# 1024 x 1024 pc buffer in one block, where results keep their bytes; more
-# blocks sum the key gradient in another order.
-_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -197,8 +189,10 @@ def segment_pool(f: np.ndarray, seg: SegmentAssignment) -> np.ndarray:
     sizes = seg.sizes
     if np.any(sizes == 0):
         raise PartitionError("segment assignment has an empty segment")
-    sums = np.zeros((seg.num_segments, f.shape[1]))
-    np.add.at(sums, seg.segment_of, f)
+    # one bincount per channel adds each segment's rows in index order
+    sums = np.empty((seg.num_segments, f.shape[1]))
+    for j in range(f.shape[1]):
+        sums[:, j] = np.bincount(seg.segment_of, f[:, j], minlength=seg.num_segments)
     return sums / sizes[:, None]
 
 
@@ -227,14 +221,6 @@ def _sample_negatives(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
         held = (picks[:, :t] == draw[:, None]).any(axis=1)
         picks[:, t] = np.where(held, top, draw)
     return picks + (picks >= np.arange(n)[:, None])  # skip the anchor itself
-
-
-def _row_blocks(n: int, row_len: int) -> list[slice]:
-    """Consecutive row slices covering range(n), each holding at most
-    _BLOCK_BYTES of float64 rows of ``row_len`` entries (one row when a
-    single row is larger)."""
-    step = max(1, _BLOCK_BYTES // (8 * row_len))
-    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
 def _block_terms(scores, pos_col, cfg, anchors):

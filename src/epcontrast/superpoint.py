@@ -5,6 +5,11 @@ Points are clustered with Lloyd's algorithm (k-means++ seeding) on a
 concatenated with colors scaled by a configurable weight. The result is
 always a partition — disjoint, covering, with no empty segment — because
 segment pooling divides by segment sizes downstream.
+
+The assignment step scores points against centroids in row blocks (the
+budget in :mod:`epcontrast.numcore`) and keeps only each point's nearest
+centroid, so memory is O(N·6) plus one block rather than O(N·M); the
+seeding and the centroid update are O(N·6) too.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PartitionError, ShapeError
+from .numcore import _row_blocks
 from .pointcloud import PointCloud
 from .rng import substream
 
@@ -88,32 +94,60 @@ def segment_features(cloud: PointCloud, color_weight: float) -> np.ndarray:
     return np.hstack([normed, cloud.colors * color_weight])
 
 
+def _sq_dists_to(cols: np.ndarray, center: np.ndarray, buf: np.ndarray, out: np.ndarray):
+    """out[i] = |x_i - center|² from the (D, N) feature columns ``cols``,
+    summed column by column in the order ``np.sum(..., axis=1)`` adds an
+    (N, D) row; ``buf`` is a (D, N) work buffer."""
+    np.subtract(cols, center[:, None], out=buf)
+    np.square(buf, out=buf)
+    np.add.reduce(buf, axis=0, out=out)
+
+
 def _kmeans_pp_init(features: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: first center uniform, the rest D²-weighted."""
+    """k-means++ seeding: first center uniform, the rest D²-weighted.
+
+    Each weighted pick is one ``rng.random()`` located on the normalized
+    cumulative sum of the weights, which is how ``rng.choice(n, p=d2 /
+    d2.sum())`` draws, without its validation passes; the stream and the
+    chosen centers are the same. Distances live in preallocated (N,)
+    buffers.
+    """
     n = features.shape[0]
+    cols = features.T.copy()
+    buf = np.empty_like(cols)
+    d2, cand, cdf = np.empty(n), np.empty(n), np.empty(n)
     centers = np.empty((m, features.shape[1]))
     centers[0] = features[rng.integers(n)]
-    d2 = np.sum((features - centers[0]) ** 2, axis=1)
+    _sq_dists_to(cols, centers[0], buf, d2)
     for k in range(1, m):
         total = d2.sum()
         if total <= 0.0:
             # all remaining mass sits on the chosen centers; pick uniformly
             idx = rng.integers(n)
         else:
-            idx = rng.choice(n, p=d2 / total)
+            np.divide(d2, total, out=cdf)
+            np.cumsum(cdf, out=cdf)
+            cdf /= cdf[-1]
+            idx = cdf.searchsorted(rng.random(), side="right")
         centers[k] = features[idx]
-        d2 = np.minimum(d2, np.sum((features - centers[k]) ** 2, axis=1))
+        _sq_dists_to(cols, centers[k], buf, cand)
+        np.minimum(d2, cand, out=d2)
     return centers
 
 
-def _pairwise_sq_dists(features: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # |x - c|^2 = |x|^2 - 2 x.c + |c|^2 ; clip tiny negatives from cancellation
-    d2 = (
-        np.sum(features**2, axis=1)[:, None]
-        - 2.0 * features @ centers.T
-        + np.sum(centers**2, axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+def _assign(features: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> None:
+    """labels[i] = argmin_j |x_i - c_j|², one row block at a time.
+
+    Per row |x_i|² is a constant, so the block scores ``-2·x·c + |c|²``
+    (scaling by -2 is exact) and never holds more than _BLOCK_BYTES.
+    """
+    neg2c = -2.0 * centers.T
+    c2 = np.sum(centers**2, axis=1)
+    for b in _row_blocks(features.shape[0], centers.shape[0]):
+        d = features[b] @ neg2c
+        d += c2
+        np.argmin(d, axis=1, out=labels[b])
+        del d  # free this block's buffer before the next one is allocated
 
 
 def _repair_empty(labels: np.ndarray, features: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -152,24 +186,25 @@ def lloyd_kmeans(
 
     Returns (labels, centers, objective history). The objective — summed
     squared distance of points to their assigned centroid — is recorded
-    after each update step and is non-increasing. Features are unit-scaled
-    by construction (see :func:`segment_features`), so ``tol`` acts as a
-    relative centroid-shift threshold.
+    after each update step and is non-increasing. Iteration stops once no
+    centroid moves by ``tol`` or more: an absolute Euclidean shift in
+    feature units, so with :func:`segment_features` the color part of it
+    scales with ``color_weight``.
     """
-    n = features.shape[0]
+    n, dim = features.shape
     if m > n:
         raise ValueError(f"m={m} exceeds point count {n}")
     centers = _kmeans_pp_init(features, m, rng)
-    labels = np.zeros(n, dtype=np.int64)
+    labels = np.empty(n, dtype=np.int64)
     history: list[float] = []
     for _ in range(max_iters):
-        d2 = _pairwise_sq_dists(features, centers)
-        labels = np.argmin(d2, axis=1).astype(np.int64)
+        _assign(features, centers, labels)
         labels = _repair_empty(labels, features, centers)
-        new_centers = np.zeros_like(centers)
-        np.add.at(new_centers, labels, features)
-        counts = np.bincount(labels, minlength=m)
-        new_centers /= counts[:, None]
+        # one bincount per column adds each cluster's rows in index order
+        new_centers = np.empty_like(centers)
+        for j in range(dim):
+            new_centers[:, j] = np.bincount(labels, features[:, j], minlength=m)
+        new_centers /= np.bincount(labels, minlength=m)[:, None]
         shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
         centers = new_centers
         history.append(float(np.sum((features - centers[labels]) ** 2)))

@@ -7,7 +7,9 @@ import pytest
 
 from epcontrast import (
     EvalCounter,
+    KMeansConfig,
     LossConfig,
+    PointCloud,
     SegmentAssignment,
     ag_contrast,
     bench_loss,
@@ -16,14 +18,16 @@ from epcontrast import (
     contrast,
     count_pairs,
     ep_contrast,
+    kmeans_segments,
     point_infonce,
     segment_pool,
     segment_pool_backward,
 )
-from epcontrast import losses
+from epcontrast import numcore
 from epcontrast.bench import accounted_bytes
 from epcontrast.errors import EmptyNegativeSetError, RangeError, ShapeError
-from epcontrast.losses import KINDS, _row_blocks, _sample_negatives, _softmax_rows
+from epcontrast.losses import KINDS, _sample_negatives, _softmax_rows
+from epcontrast.numcore import _row_blocks
 from epcontrast.rng import substream
 from epcontrast.selfcheck import (
     ORACLE_CONFIGS,
@@ -276,7 +280,7 @@ class TestRowBlocks:
 
     @staticmethod
     def three_row_blocks(monkeypatch, n, row_len):
-        monkeypatch.setattr(losses, "_BLOCK_BYTES", 8 * row_len * 3)
+        monkeypatch.setattr(numcore, "_BLOCK_BYTES", 8 * row_len * 3)
         assert [b.stop - b.start for b in _row_blocks(n, row_len)][:2] == [3, 3]
 
     @pytest.mark.parametrize("kind", ["pc", "ag"])
@@ -408,7 +412,9 @@ class TestPairCounting:
 class TestMemory:
     """The kernels carry one score buffer, or one row block of it: tracemalloc's
     peak stays within twice the accounted bytes (8 per scored similarity),
-    and within them once the scores fill several blocks."""
+    and within them once the scores fill several blocks. The k-means that
+    makes the segments stays within a few N x 6 feature copies and one
+    block."""
 
     @staticmethod
     def peak_bytes(fn):
@@ -435,6 +441,16 @@ class TestMemory:
         rng = substream(820, 0)
         f1, f2, seg = random_instance(rng, 8192, 32, 1024)
         accounted = accounted_bytes("ag", 8192, 1024, 32)
-        assert accounted >= 8 * losses._BLOCK_BYTES
+        assert accounted >= 8 * numcore._BLOCK_BYTES
         peak = self.peak_bytes(lambda: ag_contrast(f1, f2, seg, LossConfig()))
         assert peak <= accounted
+
+    def test_kmeans_peak_within_features_and_blocks(self):
+        # the superpoints feeding ag at the default segment count: the
+        # assignment holds one row block of scores, never the N x M matrix
+        n, m = 16384, 2000
+        rng = substream(821, 0)
+        cloud = PointCloud(rng.normal(size=(n, 3)), rng.uniform(0, 1, (n, 3)))
+        cfg = KMeansConfig(target_segments=m, max_iters=2)
+        peak = self.peak_bytes(lambda: kmeans_segments(cloud, cfg))
+        assert peak <= 4 * n * 6 * 8 + 2 * numcore._BLOCK_BYTES

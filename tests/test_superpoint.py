@@ -11,7 +11,10 @@ from epcontrast import (
     kmeans_segments_with_history,
     segment_features,
 )
+from epcontrast import numcore
 from epcontrast.errors import PartitionError
+from epcontrast.rng import substream
+from epcontrast.superpoint import _kmeans_pp_init, lloyd_kmeans
 
 
 def two_blob_scene(rng, per_blob=60, separation=50.0):
@@ -106,3 +109,46 @@ class TestKMeansSegments:
         a = kmeans_segments(cloud, cfg)
         b = kmeans_segments(cloud, cfg)
         np.testing.assert_array_equal(a.segment_of, b.segment_of)
+
+
+def choice_kmeans_pp(features, m, rng):
+    """k-means++ seeding through ``rng.choice(n, p=...)``, as first written."""
+    n = features.shape[0]
+    centers = np.empty((m, features.shape[1]))
+    centers[0] = features[rng.integers(n)]
+    d2 = np.sum((features - centers[0]) ** 2, axis=1)
+    for k in range(1, m):
+        total = d2.sum()
+        idx = rng.integers(n) if total <= 0.0 else rng.choice(n, p=d2 / total)
+        centers[k] = features[idx]
+        d2 = np.minimum(d2, np.sum((features - centers[k]) ** 2, axis=1))
+    return centers
+
+
+class TestLloydKernels:
+    @pytest.mark.parametrize("m", [2, 7, 40])
+    def test_row_blocks_do_not_change_a_bit(self, m, monkeypatch):
+        feats = segment_features(random_scene(substream(830, m), 200), 1.0)
+        whole = lloyd_kmeans(feats, m, 20, 0.0, substream(831, m))
+        monkeypatch.setattr(numcore, "_BLOCK_BYTES", 8 * m * 3)
+        assert [b.stop - b.start for b in numcore._row_blocks(200, m)][:2] == [3, 3]
+        blocked = lloyd_kmeans(feats, m, 20, 0.0, substream(831, m))
+        np.testing.assert_array_equal(blocked[0], whole[0])
+        np.testing.assert_array_equal(blocked[1], whole[1])
+        assert blocked[2] == whole[2]
+
+    def test_seeding_draws_what_choice_draws(self):
+        # the random stream is part of the determinism contract: same
+        # centers and the generator left in the same state
+        rng = substream(832, 0)
+        scenes = [segment_features(random_scene(rng, int(rng.integers(20, 300))), 1.0)
+                  for _ in range(19)]
+        # 6 distinct points repeated: the mass runs out and picks go uniform
+        scenes.append(np.repeat(scenes[0][:6], 5, axis=0))
+        for seed, feats in enumerate(scenes):
+            m = min(12, feats.shape[0])
+            ours, theirs = substream(833, seed), substream(833, seed)
+            np.testing.assert_array_equal(
+                _kmeans_pp_init(feats, m, ours), choice_kmeans_pp(feats, m, theirs)
+            )
+            assert ours.random() == theirs.random()
