@@ -50,23 +50,37 @@ class MlpParams:
                 raise ShapeError(
                     f"layer input {w.shape[1]} does not chain from previous output {prev}"
                 )
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise RangeError("parameters contain non-finite entries")
             prev = w.shape[0]
+        self.require_finite()
+
+    @classmethod
+    def _derived(cls, weights: tuple, biases: tuple) -> "MlpParams":
+        """Container for arrays computed from validated ones (gradients,
+        moments, updates): their shapes hold by construction, so
+        ``__post_init__`` is skipped. Finiteness is the caller's to check."""
+        params = object.__new__(cls)
+        object.__setattr__(params, "weights", weights)
+        object.__setattr__(params, "biases", biases)
+        return params
+
+    def require_finite(self) -> None:
+        if not all(np.isfinite(a).all() for a in self.weights + self.biases):
+            raise RangeError("parameters contain non-finite entries")
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
 
     def map(self, fn) -> "MlpParams":
-        """New container with ``fn`` applied to every array."""
-        return MlpParams(
+        """New container with ``fn`` applied to every array; ``fn`` keeps
+        each array's shape, and the result is not re-validated."""
+        return MlpParams._derived(
             tuple(fn(w) for w in self.weights),
             tuple(fn(b) for b in self.biases),
         )
 
     def zip_map(self, other: "MlpParams", fn) -> "MlpParams":
-        return MlpParams(
+        return MlpParams._derived(
             tuple(fn(a, b) for a, b in zip(self.weights, other.weights)),
             tuple(fn(a, b) for a, b in zip(self.biases, other.biases)),
         )
@@ -144,7 +158,7 @@ def encoder_backward(
         dbs.append(dz.sum(axis=0))
         if layer:
             dz = (dz @ params.weights[layer]) * (pre[layer - 1] > 0.0)
-    return MlpParams(tuple(dws[::-1]), tuple(dbs[::-1]))
+    return MlpParams._derived(tuple(dws[::-1]), tuple(dbs[::-1]))
 
 
 def save_checkpoint(params: MlpParams, path) -> None:

@@ -41,6 +41,10 @@ class CacheError(ValueError):
     """An activation cache does not match the parameters it is used with."""
 
 
+class UnlabeledSceneError(ValueError):
+    """A scene that must carry per-point labels (a probe input) has none."""
+
+
 class DivergenceError(RuntimeError):
     """A training step produced a non-finite loss, gradient or parameter."""
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import INPUT_DIM, MlpParams, encoder_backward, encoder_forward, encoder_init
-from .errors import DivergenceError, RangeError
+from .errors import DivergenceError, RangeError, UnlabeledSceneError
 from .losses import KINDS, LossConfig, contrast
 from .pointcloud import AugmentParams, PointCloud, make_view_pair
 from .rng import derive_seed, substream
@@ -228,6 +228,9 @@ def pretrain(
                     params, grads, state, lr,
                     train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps,
                 )
+                # the one finiteness scan per step: a non-finite gradient or
+                # moment always reaches the updated parameters
+                params.require_finite()
             except RangeError as exc:
                 raise DivergenceError(
                     f"training diverged at step {step} (epoch {epoch}, scene {sidx}, "
@@ -260,14 +263,29 @@ class ProbeConfig:
 
 
 def _stack_embeddings(params, scenes):
-    feats, labels = [], []
-    for scene in scenes:
-        if scene.labels is None:
-            raise ValueError("probing needs labeled scenes")
-        emb, _ = encoder_forward(params, scene)
-        feats.append(emb)
-        labels.append(scene.labels)
-    return np.vstack(feats), np.concatenate(labels)
+    feats = [encoder_forward(params, scene)[0] for scene in scenes]
+    return np.vstack(feats), np.concatenate([scene.labels for scene in scenes])
+
+
+def _probe_weights(
+    xt: np.ndarray, y: np.ndarray, num_classes: int, cfg: ProbeConfig
+) -> np.ndarray:
+    """Softmax-regression weights (K, d+1) from ``cfg.steps`` full-batch
+    gradient steps on the class-major training matrix ``xt`` (d+1, n)."""
+    n = xt.shape[1]
+    w = np.zeros((num_classes, xt.shape[0]))
+    p = np.empty((num_classes, n))
+    onehot = np.zeros((num_classes, n))
+    onehot[y, np.arange(n)] = 1.0
+    inv_n = 1.0 / n
+    for _ in range(cfg.steps):
+        np.matmul(w, xt, out=p)
+        p -= p.max(axis=0)
+        np.exp(p, out=p)
+        p /= p.sum(axis=0)
+        p -= onehot
+        w -= cfg.lr * (p @ xt.T) * inv_n
+    return w
 
 
 def linear_probe(params: MlpParams, scenes: list[PointCloud], cfg: ProbeConfig) -> float:
@@ -277,7 +295,15 @@ def linear_probe(params: MlpParams, scenes: list[PointCloud], cfg: ProbeConfig) 
     split; the probe sees a ``label_fraction`` subsample of the training
     points. Classes never seen by the probe are warned about and their
     held-out points counted as errors.
+
+    The probe is full-batch softmax regression whose logits are kept
+    class-major, as one (K, n) buffer reused every step: the softmax's max
+    and sum then run over the short class axis K and vectorize along the n
+    points, where a row-major (n, K) layout reduces n rows of K entries each.
     """
+    for i, scene in enumerate(scenes):
+        if scene.labels is None:
+            raise UnlabeledSceneError(f"probing needs labeled scenes; scene {i} has no labels")
     n_hold = max(1, round(cfg.holdout_fraction * len(scenes)))
     if n_hold >= len(scenes):
         raise ValueError(
@@ -302,26 +328,21 @@ def linear_probe(params: MlpParams, scenes: list[PointCloud], cfg: ProbeConfig) 
             stacklevel=2,
         )
 
-    # standardize with training statistics so one fixed lr works across encoders
+    # standardize with training statistics so one fixed lr works across encoders;
+    # the training matrix is written class-major, (d+1, n), with the bias row last
     mu = x_train.mean(axis=0)
     sd = np.maximum(x_train.std(axis=0), 1e-8)
-    x_train = (x_train - mu) / sd
+    n, d = x_train.shape
+    xt = np.empty((d + 1, n))
+    np.subtract(x_train.T, mu[:, None], out=xt[:d])
+    xt[:d] /= sd[:, None]
+    xt[d] = 1.0
+    del x_train
     x_eval = (x_eval - mu) / sd
-    x_train = np.hstack([x_train, np.ones((x_train.shape[0], 1))])
     x_eval = np.hstack([x_eval, np.ones((x_eval.shape[0], 1))])
 
-    w = np.zeros((x_train.shape[1], num_classes))
-    onehot = np.zeros((x_train.shape[0], num_classes))
-    onehot[np.arange(x_train.shape[0]), y_train] = 1.0
-    inv_n = 1.0 / x_train.shape[0]
-    for _ in range(cfg.steps):
-        logits = x_train @ w
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        w -= cfg.lr * (x_train.T @ (p - onehot)) * inv_n
-
-    pred = np.argmax(x_eval @ w, axis=1)
+    w = _probe_weights(xt, y_train, num_classes, cfg)
+    pred = np.argmax(x_eval @ w.T, axis=1)
     correct = pred == y_eval
     if missing.size:
         correct &= ~np.isin(y_eval, missing)

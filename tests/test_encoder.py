@@ -70,6 +70,14 @@ class TestInit:
         params = encoder_init(9, 32, 12, seed=1)
         assert params.layer_sizes == (9, 32, 32, 12)
 
+    def test_direct_construction_validates_derived_containers_do_not(self):
+        params = encoder_init(9, 4, 3, seed=0)
+        nan = params.map(lambda a: np.full_like(a, np.nan))  # no scan on map results
+        with pytest.raises(RangeError, match="non-finite"):
+            nan.require_finite()
+        with pytest.raises(RangeError, match="non-finite"):
+            MlpParams(nan.weights, nan.biases)
+
 
 class TestForward:
     def test_zero_weights_zero_embedding(self):

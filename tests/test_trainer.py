@@ -1,5 +1,7 @@
 """Scene generation, the optimizer, pretraining bookkeeping, and the probe."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,11 @@ from epcontrast import (
     linear_probe,
     pretrain,
 )
-from epcontrast.errors import DivergenceError
+from epcontrast.encoder import encoder_forward
+from epcontrast.errors import DivergenceError, UnlabeledSceneError
 from epcontrast.pointcloud import AugmentParams
 from epcontrast.rng import derive_seed, substream
-from epcontrast.trainer import class_palette, optim_init
+from epcontrast.trainer import _probe_weights, class_palette, optim_init
 
 
 class TestGenerateScene:
@@ -97,6 +100,11 @@ class TestAdamStep:
 def tiny_scenes(count=4, clusters=3, ppc=24, seed=0):
     cfg = SyntheticSceneConfig(num_clusters=clusters, points_per_cluster=ppc, seed=seed)
     return [generate_scene(cfg, substream(seed, i)) for i in range(count)]
+
+
+def drop_class(scene, cls):
+    keep = scene.labels != cls
+    return PointCloud(scene.positions[keep], scene.colors[keep], scene.labels[keep])
 
 
 def tiny_train_cfg(**kw):
@@ -222,12 +230,88 @@ class TestLinearProbe:
     def test_absent_class_warns_and_scores_errors(self):
         base = tiny_scenes(count=4, clusters=3, ppc=10)
         # train scenes missing class 2 entirely
-        def drop_class(scene, cls):
-            keep = scene.labels != cls
-            return PointCloud(scene.positions[keep], scene.colors[keep], scene.labels[keep])
-
         scenes = [drop_class(s, 2) for s in base[:3]] + [base[3]]
         params = encoder_init(9, 8, 6, seed=5)
         with pytest.warns(UserWarning, match="absent"):
             acc = linear_probe(params, scenes, ProbeConfig(steps=20, seed=0))
         assert acc <= 1.0 - np.mean(base[3].labels == 2) + 1e-9
+
+    def test_unlabeled_scene_is_named_by_index(self):
+        scenes = tiny_scenes(count=4, clusters=3, ppc=10)
+        scenes[2] = PointCloud(scenes[2].positions, scenes[2].colors)
+        params = encoder_init(9, 8, 6, seed=6)
+        with pytest.raises(UnlabeledSceneError, match="scene 2 has no labels"):
+            linear_probe(params, scenes, ProbeConfig(steps=5, seed=0))
+        assert issubclass(UnlabeledSceneError, ValueError)
+
+
+def row_major_probe(params, scenes, cfg):
+    """Test-side replica of the probe as first written, with (n, K) logits.
+
+    Returns the accuracy, the (d+1, K) weights, and the standardized
+    training matrix (bias column last) with its labels.
+    """
+    n_hold = max(1, round(cfg.holdout_fraction * len(scenes)))
+    splits = [scenes[:-n_hold], scenes[-n_hold:]]
+    (x_train, y_train), (x_eval, y_eval) = [
+        (np.vstack([encoder_forward(params, s)[0] for s in split]),
+         np.concatenate([s.labels for s in split]))
+        for split in splits
+    ]
+    num_classes = int(max(y_train.max(), y_eval.max())) + 1
+    if cfg.label_fraction < 1.0:
+        keep = max(1, round(cfg.label_fraction * x_train.shape[0]))
+        chosen = substream(cfg.seed, 0).choice(x_train.shape[0], size=keep, replace=False)
+        x_train, y_train = x_train[chosen], y_train[chosen]
+    missing = np.setdiff1d(np.unique(y_eval), np.unique(y_train))
+    mu = x_train.mean(axis=0)
+    sd = np.maximum(x_train.std(axis=0), 1e-8)
+    x_train = np.hstack([(x_train - mu) / sd, np.ones((x_train.shape[0], 1))])
+    x_eval = np.hstack([(x_eval - mu) / sd, np.ones((x_eval.shape[0], 1))])
+
+    w = np.zeros((x_train.shape[1], num_classes))
+    onehot = np.zeros((x_train.shape[0], num_classes))
+    onehot[np.arange(x_train.shape[0]), y_train] = 1.0
+    inv_n = 1.0 / x_train.shape[0]
+    for _ in range(cfg.steps):
+        logits = x_train @ w
+        logits -= logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+        w -= cfg.lr * (x_train.T @ (p - onehot)) * inv_n
+
+    correct = np.argmax(x_eval @ w, axis=1) == y_eval
+    correct &= ~np.isin(y_eval, missing)
+    return float(correct.mean()), w, x_train, y_train
+
+
+# (num_classes, label_fraction, drop a class from the training scenes)
+LAYOUT_CASES = [
+    (2, 1.0, False), (3, 0.3, False), (4, 1.0, False), (5, 0.5, False),
+    (6, 1.0, False), (7, 0.2, False), (8, 1.0, False), (9, 0.4, False),
+    (4, 1.0, True), (9, 1.0, False), (2, 0.1, False),
+]
+
+
+@pytest.mark.parametrize("case", range(len(LAYOUT_CASES)))
+def test_class_major_probe_matches_row_major_replica(case):
+    num_classes, fraction, drop = LAYOUT_CASES[case]
+    scene_cfg = SyntheticSceneConfig(num_clusters=num_classes, points_per_cluster=15,
+                                     color_noise_std=0.2)
+    scenes = [generate_scene(scene_cfg, substream(case, i)) for i in range(5)]
+    if drop:  # the last class is seen only in the held-out scene
+        scenes[:-1] = [drop_class(s, num_classes - 1) for s in scenes[:-1]]
+    params = encoder_init(9, 8, 6, seed=case)
+    cfg = ProbeConfig(steps=60, lr=1.0, label_fraction=fraction, seed=case)
+
+    acc_ref, w_ref, x_ref, y_ref = row_major_probe(params, scenes, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        acc = linear_probe(params, scenes, cfg)
+    if drop:
+        assert any("absent" in str(c.message) for c in caught)
+    assert acc == acc_ref
+
+    w = _probe_weights(np.ascontiguousarray(x_ref.T), y_ref, w_ref.shape[1], cfg)
+    assert w.shape == w_ref.T.shape
+    assert np.abs(w - w_ref.T).max() <= 1e-12 * np.abs(w_ref).max()
