@@ -13,8 +13,8 @@ embedding buffers: 0.11x the accounted bytes for pc at N = 4000, 0.21x for
 ag at N = 8192, M = 1024 and 0.09x at N = 16384, M = 2000; at N = 4096,
 M = 512, whose 16 MiB of scores fill two blocks, it is 0.68x. Sampled pc
 scores only the N x (k + 1) pairs it draws. The channel loss's peak is
-set by its N x C buffers (normalized copies and gradients), not by its
-C x C scores: 128 MiB against 8 KiB accounted at N = 65536, C = 32.
+set by its four N x C buffers (unit channel maps and gradients), not by
+its C x C scores: 64.1 MiB against 8 KiB accounted at N = 65536, C = 32.
 
 The accounted figures are deterministic and platform-independent: quadratic
 in N for the point loss, linear in N for the segment loss at fixed M, and
@@ -154,7 +154,7 @@ def bench_loss(
     rows = []
     for n in sizes:
         pos, neg = count_pairs(kind, n, m, c)
-        nbytes = BYTES_PER_ENTRY * (pos + neg)
+        nbytes = accounted_bytes(kind, n, m, c)
         if byte_budget is not None and nbytes > byte_budget:
             raise BudgetError(
                 f"{kind} at N={n} (M={m}, C={c}) needs {nbytes} accounted bytes, "

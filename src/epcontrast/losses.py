@@ -19,7 +19,10 @@ the channel loss.
 
 The point and segment losses score query rows against key rows in row
 blocks of bounded size (:func:`_rows_contrast`), so their memory does not
-grow with the full (queries x keys) score matrix.
+grow with the full (queries x keys) score matrix. Every loss normalizes
+through :mod:`epcontrast.numcore`'s eps-floored L2 normalization of rows,
+forward and backward; the channel loss works on the transposed (C, N)
+views, whose rows are the channel maps.
 
 Every loss has a brute-force twin (:func:`brute_force_loss`) that walks
 the pair sets with plain Python loops and no shared code path, both
@@ -34,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyNegativeSetError, PartitionError, ShapeError
-from .numcore import DEFAULT_EPS, _row_blocks, as_matrix, col_l2_normalize, row_l2_normalize
+from .errors import EmptyNegativeSetError, ShapeError
+from .numcore import DEFAULT_EPS, _row_blocks, _unit_rows, _unit_rows_backward, as_matrix
 from .superpoint import SegmentAssignment
 
 KINDS = ("pc", "ag", "cc", "ep")
@@ -155,27 +158,18 @@ def _reduce(terms: np.ndarray, reduction: str) -> float:
     return float(terms.sum() if reduction == "sum" else terms.mean())
 
 
-def _rownorm_backward(x, grad_hat, eps=DEFAULT_EPS):
-    """Backward of row L2 normalization; rows at or below the eps floor
-    see the constant-denominator Jacobian."""
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    denom = np.maximum(norms, eps)
-    xhat = x / denom[:, None]
-    live = norms > eps
-    dots = np.einsum("ij,ij->i", grad_hat, xhat)
-    # row-major in the row frame whatever the operands' strides: the layout of
-    # the column variant's gradient decides how BLAS rounds the encoder's
-    # backward products, and checkpoints are pinned byte for byte
-    return np.divide(grad_hat - (dots * live)[:, None] * xhat, denom[:, None], order="C")
-
-
-def _colnorm_backward(x, grad_hat, eps=DEFAULT_EPS):
-    return _rownorm_backward(x.T, grad_hat.T, eps).T
-
-
 # ---------------------------------------------------------------------------
 # segment pooling
 # ---------------------------------------------------------------------------
+
+
+def _segment_mean(f, seg):
+    """Per-segment means of a validated matrix whose rows ``seg`` covers."""
+    # one bincount per channel adds each segment's rows in index order
+    sums = np.empty((seg.num_segments, f.shape[1]))
+    for j in range(f.shape[1]):
+        sums[:, j] = np.bincount(seg.segment_of, f[:, j], minlength=seg.num_segments)
+    return sums / seg.sizes[:, None]
 
 
 def segment_pool(f: np.ndarray, seg: SegmentAssignment) -> np.ndarray:
@@ -186,20 +180,12 @@ def segment_pool(f: np.ndarray, seg: SegmentAssignment) -> np.ndarray:
             f"segment assignment covers {seg.segment_of.shape[0]} points, "
             f"embedding has {f.shape[0]} rows"
         )
-    sizes = seg.sizes
-    if np.any(sizes == 0):
-        raise PartitionError("segment assignment has an empty segment")
-    # one bincount per channel adds each segment's rows in index order
-    sums = np.empty((seg.num_segments, f.shape[1]))
-    for j in range(f.shape[1]):
-        sums[:, j] = np.bincount(seg.segment_of, f[:, j], minlength=seg.num_segments)
-    return sums / sizes[:, None]
+    return _segment_mean(f, seg)
 
 
 def segment_pool_backward(grad_pooled: np.ndarray, seg: SegmentAssignment) -> np.ndarray:
     """Distribute each segment's gradient equally over its member points."""
-    sizes = seg.sizes
-    return grad_pooled[seg.segment_of] / sizes[seg.segment_of][:, None]
+    return grad_pooled[seg.segment_of] / seg.sizes[seg.segment_of][:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +230,9 @@ def _rows_contrast(fq, fk, pos_col, cfg, negatives=None):
     _BLOCK_BYTES; each block's buffer becomes its dloss/dscores in place.
     The per-anchor terms are reduced once, after the last block.
     """
-    hq = row_l2_normalize(fq) if cfg.normalize_rows else fq
-    hk = row_l2_normalize(fk) if cfg.normalize_rows else fk
+    hq, hk = fq, fk
+    if cfg.normalize_rows:
+        (hq, dq), (hk, dk) = _unit_rows(fq), _unit_rows(fk)
     n, c = hq.shape
     terms = np.empty(n)
     ghq = np.empty((n, c))
@@ -277,10 +264,19 @@ def _rows_contrast(fq, fk, pos_col, cfg, negatives=None):
             ghk[:, j] = np.bincount(
                 cols.ravel(), (dscores * hq[:, j, None]).ravel(), minlength=hk.shape[0]
             )
-    value = _reduce(terms, cfg.reduction)
-    gq = _rownorm_backward(fq, ghq) if cfg.normalize_rows else ghq
-    gk = _rownorm_backward(fk, ghk) if cfg.normalize_rows else ghk
-    return LossOutput(value, gq, gk)
+    if cfg.normalize_rows:
+        ghq = _unit_rows_backward(ghq, hq, dq)
+        ghk = _unit_rows_backward(ghk, hk, dk)
+    return LossOutput(_reduce(terms, cfg.reduction), ghq, ghk)
+
+
+def _view_pair(f1, f2):
+    """The two views as validated matrices of one shape."""
+    f1 = as_matrix(f1, "f1")
+    f2 = as_matrix(f2, "f2")
+    if f1.shape != f2.shape:
+        raise ShapeError(f"view embeddings differ: {f1.shape} vs {f2.shape}")
+    return f1, f2
 
 
 def point_infonce(
@@ -298,10 +294,7 @@ def point_infonce(
     pairs and the positives, never the full N x N matrix. Gradients are
     exact for whichever denominator was actually used.
     """
-    f1 = as_matrix(f1, "f1")
-    f2 = as_matrix(f2, "f2")
-    if f1.shape != f2.shape:
-        raise ShapeError(f"view embeddings differ: {f1.shape} vs {f2.shape}")
+    f1, f2 = _view_pair(f1, f2)
     n = f1.shape[0]
     if n < 2:
         raise EmptyNegativeSetError("point loss needs N >= 2 for a negative set")
@@ -317,7 +310,7 @@ def point_infonce(
 
 def _ag_directional(fq, fk, seg, cfg):
     """Queries fq (points) against pooled keys from fk (segments)."""
-    out = _rows_contrast(fq, segment_pool(fk, seg), seg.segment_of, cfg)
+    out = _rows_contrast(fq, _segment_mean(fk, seg), seg.segment_of, cfg)
     return LossOutput(out.value, out.grad_f1, segment_pool_backward(out.grad_f2, seg))
 
 
@@ -333,10 +326,7 @@ def ag_contrast(
     directions instead. With singleton segments (M == N, identity ids)
     this reduces bitwise to :func:`point_infonce`.
     """
-    f1 = as_matrix(f1, "f1")
-    f2 = as_matrix(f2, "f2")
-    if f1.shape != f2.shape:
-        raise ShapeError(f"view embeddings differ: {f1.shape} vs {f2.shape}")
+    f1, f2 = _view_pair(f1, f2)
     if seg.segment_of.shape[0] != f1.shape[0]:
         raise ShapeError(
             f"segment assignment covers {seg.segment_of.shape[0]} points, "
@@ -365,17 +355,15 @@ def channel_contrast(f1: np.ndarray, f2: np.ndarray, cfg: LossConfig) -> LossOut
     the positive numerator keeps its sign. The subgradient of |x| at 0 is
     taken to be 0.
     """
-    f1 = as_matrix(f1, "f1")
-    f2 = as_matrix(f2, "f2")
-    if f1.shape != f2.shape:
-        raise ShapeError(f"view embeddings differ: {f1.shape} vs {f2.shape}")
+    f1, f2 = _view_pair(f1, f2)
     c = f1.shape[1]
     if c < 2:
         raise EmptyNegativeSetError("channel loss needs C >= 2 for a negative set")
 
-    h1 = col_l2_normalize(f1) if cfg.normalize_channels else f1
-    h2 = col_l2_normalize(f2) if cfg.normalize_channels else f2
-    gram = h1.T @ h2  # (C, C): gram[i, j] = c1_i . c2_j
+    h1, h2 = f1.T, f2.T  # (C, N): the rows are the channel maps
+    if cfg.normalize_channels:
+        (h1, d1), (h2, d2) = _unit_rows(h1), _unit_rows(h2)
+    gram = h1 @ h2.T  # (C, C): gram[i, j] = c1_i . c2_j
     scores = gram / cfg.tau
 
     pos = np.diagonal(scores).copy()
@@ -386,11 +374,15 @@ def channel_contrast(f1: np.ndarray, f2: np.ndarray, cfg: LossConfig) -> LossOut
     np.fill_diagonal(sign, 1.0)
     dgram = den * sign
 
-    gh1 = h2 @ dgram.T
-    gh2 = h1 @ dgram
-    g1 = _colnorm_backward(f1, gh1) if cfg.normalize_channels else gh1
-    g2 = _colnorm_backward(f2, gh2) if cfg.normalize_channels else gh2
-    return LossOutput(value, g1, g2)
+    # the gradients' layout decides how BLAS rounds the encoder backward, and
+    # checkpoints are pinned: F-ordered (N, C) when normalized, else C-ordered
+    order = "C" if cfg.normalize_channels else "F"
+    gh1 = np.matmul(dgram, h2, out=np.empty(h2.shape, order=order))
+    gh2 = np.matmul(dgram.T, h1, out=np.empty(h1.shape, order=order))
+    if cfg.normalize_channels:
+        gh1 = _unit_rows_backward(gh1, h1, d1)
+        gh2 = _unit_rows_backward(gh2, h2, d2)
+    return LossOutput(value, gh1.T, gh2.T)
 
 
 def ep_contrast(
@@ -447,8 +439,8 @@ def channel_abs_cosine_mean(f: np.ndarray) -> float:
     c = f.shape[1]
     if c < 2:
         raise ShapeError("need at least two channels to compare")
-    h = col_l2_normalize(f)
-    gram = np.abs(h.T @ h)
+    h = _unit_rows(f.T)[0]
+    gram = np.abs(h @ h.T)
     off = gram[~np.eye(c, dtype=bool)]
     return float(off.mean())
 

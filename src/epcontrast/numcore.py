@@ -3,9 +3,10 @@
 A "matrix" throughout the package is a 2-D, C-contiguous float64 numpy
 array with finite entries. :func:`as_matrix` establishes that once, at
 the public loss entry points; the kernels here trust validated operands
-and do not re-check them. The heavy lifting is delegated to numpy, the
-eps-floored normalization and the row-block budget shared by the loss
-kernels and the superpoint assignment live here.
+and do not re-check them. The heavy lifting is delegated to numpy. The
+row-block budget shared by the loss kernels and the superpoint assignment
+lives here, as does the eps-floored L2 normalization of rows, forward and
+backward, that all three losses use.
 """
 
 from __future__ import annotations
@@ -45,17 +46,23 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def row_l2_normalize(m: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
+def _unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows of ``m`` and their divisors max(‖row‖₂, eps); the unit rows
+    keep ``m``'s memory layout, so a transposed view gives unit columns."""
+    d = np.maximum(np.sqrt(np.einsum("ij,ij->i", m, m)), DEFAULT_EPS)
+    return m / d[:, None], d
+
+
+def _unit_rows_backward(g: np.ndarray, hat: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Gradient through :func:`_unit_rows` from its outputs, formed in ``g``'s
+    buffer and using up ``hat``; rows at the eps floor get g / eps."""
+    dots = np.einsum("ij,ij->i", g, hat) * (d > DEFAULT_EPS)
+    hat *= dots[:, None]
+    g -= hat
+    g /= d[:, None]
+    return g
+
+
+def row_l2_normalize(m: np.ndarray) -> np.ndarray:
     """Divide each row by max(‖row‖₂, eps); zero rows stay zero."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    norms = np.sqrt(np.einsum("ij,ij->i", m, m))
-    return m / np.maximum(norms, eps)[:, None]
-
-
-def col_l2_normalize(m: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Column analog of :func:`row_l2_normalize` (used for channel maps)."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    norms = np.sqrt(np.einsum("ij,ij->j", m, m))
-    return m / np.maximum(norms, eps)[None, :]
+    return _unit_rows(m)[0]

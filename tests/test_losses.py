@@ -230,6 +230,15 @@ class TestStructuralProperties:
                 assert lse <= base + 1e-12
                 base = lse
 
+    def test_zero_channel_gives_finite_gradients(self):
+        rng = substream(823, 0)
+        f1, f2, _ = random_instance(rng, 16, 4, 2)
+        f1[:, 1] = 0.0
+        f2[:, 1] = 0.0
+        for cfg in ORACLE_CONFIGS:
+            out = channel_contrast(f1, f2, cfg)
+            assert np.all(np.isfinite(out.grad_f1)) and np.all(np.isfinite(out.grad_f2)), cfg
+
     def test_empty_negative_sets_raise(self):
         one = np.ones((1, 3))
         with pytest.raises(EmptyNegativeSetError):
@@ -412,9 +421,10 @@ class TestPairCounting:
 class TestMemory:
     """The kernels carry one score buffer, or one row block of it: tracemalloc's
     peak stays within twice the accounted bytes (8 per scored similarity),
-    and within them once the scores fill several blocks. The k-means that
-    makes the segments stays within a few N x 6 feature copies and one
-    block."""
+    and within them once the scores fill several blocks. The channel loss,
+    whose C x C scores are negligible, stays within four N x C buffers. The
+    k-means that makes the segments stays within a few N x 6 feature copies
+    and one block."""
 
     @staticmethod
     def peak_bytes(fn):
@@ -444,6 +454,13 @@ class TestMemory:
         assert accounted >= 8 * numcore._BLOCK_BYTES
         peak = self.peak_bytes(lambda: ag_contrast(f1, f2, seg, LossConfig()))
         assert peak <= accounted
+
+    def test_channel_loss_peak(self):
+        n, c = 65536, 32
+        rng = substream(822, 0)
+        f1, f2 = rng.normal(size=(n, c)), rng.normal(size=(n, c))
+        peak = self.peak_bytes(lambda: channel_contrast(f1, f2, LossConfig()))
+        assert peak <= 4 * n * c * 8 + (1 << 20)
 
     def test_kmeans_peak_within_features_and_blocks(self):
         # the superpoints feeding ag at the default segment count: the

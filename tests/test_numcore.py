@@ -1,9 +1,10 @@
-"""Kernel contracts: eps-floored normalization."""
+"""Kernel contracts: eps-floored normalization, forward and backward."""
 
 import numpy as np
-import pytest
 
 from epcontrast import row_l2_normalize
+from epcontrast.numcore import DEFAULT_EPS, _unit_rows, _unit_rows_backward
+from epcontrast.selfcheck import central_diff, rel_err
 
 
 class TestRowL2Normalize:
@@ -31,7 +32,19 @@ class TestRowL2Normalize:
         twice = row_l2_normalize(once)
         np.testing.assert_allclose(twice, once, rtol=0, atol=1e-12)
 
-    def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            row_l2_normalize(np.eye(2), eps=0.0)
+
+class TestUnitRowsBackward:
+    def test_live_rows_match_differences_and_floored_rows_see_g_over_eps(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(5, 4))
+        x[1] = 0.0
+        x[3] *= 1e-13 / np.linalg.norm(x[3])  # below the eps floor, not zero
+        g = rng.normal(size=x.shape)
+        hat, d = _unit_rows(x)
+        back = g.copy()
+        assert _unit_rows_backward(back, hat, d) is back
+        live = [0, 2, 4]
+        num = central_diff(lambda y: float(np.sum(g * _unit_rows(y)[0])), x)
+        assert rel_err(back[live], num[live]) <= 1e-5
+        np.testing.assert_array_equal(back[[1, 3]], g[[1, 3]] / DEFAULT_EPS)
 
