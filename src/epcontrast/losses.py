@@ -163,6 +163,15 @@ def _reduce(terms: np.ndarray, reduction: str) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_covers(seg: SegmentAssignment, f: np.ndarray) -> None:
+    """Raise ShapeError unless ``seg`` assigns exactly the rows of ``f``."""
+    if seg.segment_of.shape[0] != f.shape[0]:
+        raise ShapeError(
+            f"segment assignment covers {seg.segment_of.shape[0]} points, "
+            f"embedding has {f.shape[0]} rows"
+        )
+
+
 def _segment_mean(f, seg):
     """Per-segment means of a validated matrix whose rows ``seg`` covers."""
     # one bincount per channel adds each segment's rows in index order
@@ -175,11 +184,7 @@ def _segment_mean(f, seg):
 def segment_pool(f: np.ndarray, seg: SegmentAssignment) -> np.ndarray:
     """M x C matrix of per-segment mean embeddings."""
     f = as_matrix(f, "embedding")
-    if seg.segment_of.shape[0] != f.shape[0]:
-        raise ShapeError(
-            f"segment assignment covers {seg.segment_of.shape[0]} points, "
-            f"embedding has {f.shape[0]} rows"
-        )
+    _check_covers(seg, f)
     return _segment_mean(f, seg)
 
 
@@ -327,11 +332,7 @@ def ag_contrast(
     this reduces bitwise to :func:`point_infonce`.
     """
     f1, f2 = _view_pair(f1, f2)
-    if seg.segment_of.shape[0] != f1.shape[0]:
-        raise ShapeError(
-            f"segment assignment covers {seg.segment_of.shape[0]} points, "
-            f"embeddings have {f1.shape[0]} rows"
-        )
+    _check_covers(seg, f1)
     if seg.num_segments < 2:
         raise EmptyNegativeSetError(
             "segment loss needs M >= 2 so every point has a negative segment"
@@ -459,14 +460,14 @@ def _bf_dot(a, b, counter):
     return total
 
 
-def _bf_row_normalize(rows, eps=DEFAULT_EPS):
+def _bf_row_normalize(rows):
     out = []
     for row in rows:
         sq = 0.0
         for v in row:
             sq += v * v
         norm = math.sqrt(sq)
-        d = norm if norm > eps else eps
+        d = norm if norm > DEFAULT_EPS else DEFAULT_EPS
         out.append([v / d for v in row])
     return out
 

@@ -4,8 +4,8 @@ A "matrix" throughout the package is a 2-D, C-contiguous float64 numpy
 array with finite entries. :func:`as_matrix` establishes that once, at
 the public loss entry points; the kernels here trust validated operands
 and do not re-check them. The heavy lifting is delegated to numpy. The
-row-block budget shared by the loss kernels and the superpoint assignment
-lives here, as does the eps-floored L2 normalization of rows, forward and
+row-block budgets of the loss kernels and of the superpoint assignment
+live here, as does the eps-floored L2 normalization of rows, forward and
 backward, that all three losses use.
 """
 
@@ -17,15 +17,22 @@ from .errors import RangeError, ShapeError
 
 DEFAULT_EPS = 1e-12
 
-# Row-blocked kernels (the pc and ag losses, the k-means assignment) walk
-# their rows in blocks whose float64 buffer stays within this many bytes.
-# Blocks of 2-16 MiB ran pc at N = 4000 and ag at N = 16384, M = 2000 a
-# quarter to a third faster than one full buffer (64 MiB: no gain), and
-# 1-16 MiB budgets segmented six N = 8192, M = 256 scenes in the same time.
-# 8 MiB is the smallest budget that keeps a desk-scale 1024 x 1024 pc
-# buffer in one block, where results keep their bytes; more blocks sum the
-# key gradient in another order.
+# The pc and ag loss kernels walk their rows in blocks whose float64 buffer
+# stays within this many bytes. Blocks of 2-16 MiB ran pc at N = 4000 and
+# ag at N = 16384, M = 2000 a quarter to a third faster than one full
+# buffer (64 MiB: no gain), and faster than 512 KiB blocks (pc 0.24 against
+# 0.34 s, ag 0.475 against 0.548 s). 8 MiB is the smallest budget that
+# keeps a desk-scale 1024 x 1024 pc buffer in one block, where results
+# keep their bytes; more blocks sum the key gradient in another order.
 _BLOCK_BYTES = 8 << 20
+
+# The superpoint assignment does 7 multiply-adds per score, so its time
+# goes to writing its score block and reading it back for the argmin,
+# which is fastest while the block stays in cache. On a host with a 2 MiB
+# L2 cache, before the fused GEMM, six N = 8192, M = 256 scenes segmented
+# in 1.23 s at 8 MiB, 1.18 s at 2 MiB, 1.00 s at 1 MiB, 0.97 s at 512 KiB,
+# 0.99 s at 256 KiB and 1.08 s at 128 KiB blocks.
+_ASSIGN_BLOCK_BYTES = 512 << 10
 
 
 def _row_blocks(n: int, row_len: int) -> list[slice]:
@@ -34,6 +41,21 @@ def _row_blocks(n: int, row_len: int) -> list[slice]:
     single row is larger)."""
     step = max(1, _BLOCK_BYTES // (8 * row_len))
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+def _gemm_row_blocks(n: int, row_len: int) -> list[slice]:
+    """Consecutive row slices covering range(n) within _ASSIGN_BLOCK_BYTES,
+    none with a single row unless n == 1.
+
+    numpy hands a one-row matmul to gemv, which rounds a sum differently
+    from gemm, so a one-row tail joins the block before it and a block
+    holds two rows when two rows already exceed the budget.
+    """
+    step = max(2, _ASSIGN_BLOCK_BYTES // (8 * row_len))
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:

@@ -18,8 +18,10 @@ index i in the other; the contrastive losses rely on exactly this.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,53 +116,109 @@ class ViewPair:
 
 
 def load_ascii(path) -> PointCloud:
-    """Parse an ASCII scene file; see the module docstring for the line format."""
+    """Parse an ASCII scene file; see the module docstring for the line format.
+
+    A plain file is parsed in bulk; one with comments, non-ASCII bytes or
+    anything the bulk parser rejects goes line by line, which names the
+    offending line in its errors.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    parsed = _bulk_ascii(data)
+    if parsed is None:
+        parsed = _ascii_lines(path, data)
+    return _loaded_cloud(path, *parsed)
+
+
+def _text_lines(data: bytes) -> io.TextIOWrapper:
+    """``data`` read as a text-mode ``open()`` reads a file: lines end at
+    ``\n``, ``\r\n`` or ``\r``, and undecodable bytes become lone
+    surrogates, so the line parser can name the line that holds them."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
+_BULK_DTYPES = {
+    6: np.dtype([("v", "f8", (6,))]),
+    7: np.dtype([("v", "f8", (6,)), ("l", "i8")]),
+}
+
+
+def _bulk_ascii(data: bytes):
+    """(positions, colors, labels or None) from one ``np.loadtxt`` pass, or
+    None to leave the file to :func:`_ascii_lines`.
+
+    It declines files that are not ASCII or contain ``#``, any file
+    loadtxt rejects or warns about (no data, a changed field count, a
+    field that is not a float64 or int64), and files with a non-finite
+    position or a colour outside [0, 1]; what it returns is what the line
+    parser returns for the same bytes.
+    """
+    if not data.isascii() or b"#" in data:
+        return None
+    first = next((line for line in _text_lines(data) if line.strip()), "")
+    dtype = _BULK_DTYPES.get(len(first.split()))
+    if dtype is None:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(_text_lines(data), dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    positions, colors = rows["v"][:, :3], rows["v"][:, 3:]
+    if not np.isfinite(positions).all() or not ((colors >= 0.0) & (colors <= 1.0)).all():
+        return None
+    return positions, colors, rows["l"] if "l" in dtype.names else None
+
+
+def _ascii_lines(path, data: bytes):
+    """(positions, colors, labels or None) parsed line by line; every error
+    names ``path`` and the line."""
     positions, colors, labels = [], [], []
     has_labels = None
-    # undecodable bytes become lone surrogates, so the error can name the line
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.isascii():
-                try:
-                    raw.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    raise ParseError(f"{path}:{lineno}: not valid UTF-8 text") from exc
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) not in (6, 7):
-                raise ParseError(
-                    f"{path}:{lineno}: expected 6 or 7 fields, got {len(fields)}"
-                )
+    for lineno, raw in enumerate(_text_lines(data), start=1):
+        if not raw.isascii():
             try:
-                values = [float(f) for f in fields[:6]]
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ParseError(f"{path}:{lineno}: not valid UTF-8 text") from exc
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) not in (6, 7):
+            raise ParseError(
+                f"{path}:{lineno}: expected 6 or 7 fields, got {len(fields)}"
+            )
+        try:
+            values = [float(f) for f in fields[:6]]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        labeled = len(fields) == 7
+        if has_labels is None:
+            has_labels = labeled
+        elif has_labels != labeled:
+            raise FormatError(
+                f"{path}:{lineno}: mixed labeled and unlabeled lines"
+            )
+        if labeled:
+            try:
+                label = int(fields[6])
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            labeled = len(fields) == 7
-            if has_labels is None:
-                has_labels = labeled
-            elif has_labels != labeled:
-                raise FormatError(
-                    f"{path}:{lineno}: mixed labeled and unlabeled lines"
-                )
-            if labeled:
-                try:
-                    labels.append(int(fields[6]))
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad label {fields[6]!r}") from exc
-            x, y, z, r, g, b = values
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-                raise RangeError(f"{path}:{lineno}: non-finite position {values[:3]}")
-            if not (0.0 <= r <= 1.0 and 0.0 <= g <= 1.0 and 0.0 <= b <= 1.0):
-                raise RangeError(f"{path}:{lineno}: color {values[3:]} outside [0, 1]")
-            positions.append(values[:3])
-            colors.append(values[3:])
+                raise ParseError(f"{path}:{lineno}: bad label {fields[6]!r}") from exc
+            if not -(1 << 63) <= label < 1 << 63:
+                raise RangeError(f"{path}:{lineno}: label {fields[6]} does not fit in int64")
+            labels.append(label)
+        x, y, z, r, g, b = values
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise RangeError(f"{path}:{lineno}: non-finite position {values[:3]}")
+        if not (0.0 <= r <= 1.0 and 0.0 <= g <= 1.0 and 0.0 <= b <= 1.0):
+            raise RangeError(f"{path}:{lineno}: color {values[3:]} outside [0, 1]")
+        positions.append(values[:3])
+        colors.append(values[3:])
     if not positions:
         raise ParseError(f"{path}: no points found")
-    return _loaded_cloud(
-        path, np.array(positions), np.array(colors), np.array(labels) if has_labels else None
-    )
+    return np.array(positions), np.array(colors), np.array(labels) if has_labels else None
 
 
 def _loaded_cloud(path, positions, colors, labels) -> PointCloud:

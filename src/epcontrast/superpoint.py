@@ -6,10 +6,12 @@ concatenated with colors scaled by a configurable weight. The result is
 always a partition — disjoint, covering, with no empty segment — because
 segment pooling divides by segment sizes downstream.
 
-The assignment step scores points against centroids in row blocks (the
-budget in :mod:`epcontrast.numcore`) and keeps only each point's nearest
-centroid, so memory is O(N·6) plus one block rather than O(N·M); the
-seeding and the centroid update are O(N·6) too.
+The assignment step scores points against centroids with one GEMM per
+row block, against the features extended by a ones column so that the
+centroid norms come out of the same product. Its block budget (in
+:mod:`epcontrast.numcore`) is sized to stay in cache, and only each
+point's nearest centroid is kept, so memory is O(N·7) plus one block
+rather than O(N·M); the seeding and the centroid update are O(N·6) too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PartitionError, ShapeError
-from .numcore import _row_blocks
+from .numcore import _gemm_row_blocks
 from .pointcloud import PointCloud
 from .rng import substream
 
@@ -135,19 +137,27 @@ def _kmeans_pp_init(features: np.ndarray, m: int, rng: np.random.Generator) -> n
     return centers
 
 
-def _assign(features: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> None:
+def _assign(xa: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> None:
     """labels[i] = argmin_j |x_i - c_j|², one row block at a time.
 
-    Per row |x_i|² is a constant, so the block scores ``-2·x·c + |c|²``
-    (scaling by -2 is exact) and never holds more than _BLOCK_BYTES.
+    ``xa`` holds the (N, D) features with a trailing ones column. Per row
+    |x_i|² is a constant, so each block is scored by one GEMM against the
+    (D+1, M) coefficients ``[-2·Cᵀ; |c|²]`` (scaling by -2 is exact), into
+    one score buffer of at most _ASSIGN_BLOCK_BYTES reused for every block.
+    gemm sums the D+1 products in order, |c|² last, so the scores are
+    bitwise those of ``x @ (-2·C)ᵀ + |c|²``; a one-row block would go to
+    gemv, which does not, so no block has one row.
     """
-    neg2c = -2.0 * centers.T
-    c2 = np.sum(centers**2, axis=1)
-    for b in _row_blocks(features.shape[0], centers.shape[0]):
-        d = features[b] @ neg2c
-        d += c2
-        np.argmin(d, axis=1, out=labels[b])
-        del d  # free this block's buffer before the next one is allocated
+    m = centers.shape[0]
+    coef = np.empty((xa.shape[1], m))
+    np.multiply(centers.T, -2.0, out=coef[:-1])
+    np.sum(centers**2, axis=1, out=coef[-1])
+    blocks = _gemm_row_blocks(xa.shape[0], m)
+    scores = np.empty((max(b.stop - b.start for b in blocks), m))
+    for b in blocks:
+        s = scores[: b.stop - b.start]
+        np.matmul(xa[b], coef, out=s)
+        np.argmin(s, axis=1, out=labels[b])
 
 
 def _repair_empty(labels: np.ndarray, features: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -195,10 +205,13 @@ def lloyd_kmeans(
     if m > n:
         raise ValueError(f"m={m} exceeds point count {n}")
     centers = _kmeans_pp_init(features, m, rng)
+    xa = np.empty((n, dim + 1))
+    xa[:, :dim] = features
+    xa[:, dim] = 1.0
     labels = np.empty(n, dtype=np.int64)
     history: list[float] = []
     for _ in range(max_iters):
-        _assign(features, centers, labels)
+        _assign(xa, centers, labels)
         labels = _repair_empty(labels, features, centers)
         # one bincount per column adds each cluster's rows in index order
         new_centers = np.empty_like(centers)

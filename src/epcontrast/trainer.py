@@ -275,16 +275,16 @@ def _probe_weights(
     n = xt.shape[1]
     w = np.zeros((num_classes, xt.shape[0]))
     p = np.empty((num_classes, n))
-    onehot = np.zeros((num_classes, n))
-    onehot[y, np.arange(n)] = 1.0
+    # flat indices of each point's true class in p, where P - Y differs from P
+    true_class = y * n + np.arange(n)
     inv_n = 1.0 / n
     for _ in range(cfg.steps):
         np.matmul(w, xt, out=p)
         p -= p.max(axis=0)
         np.exp(p, out=p)
         p /= p.sum(axis=0)
-        p -= onehot
-        w -= cfg.lr * (p @ xt.T) * inv_n
+        p.reshape(-1)[true_class] -= 1.0
+        w -= cfg.lr * (xt @ p.T).T * inv_n
     return w
 
 

@@ -25,6 +25,7 @@ from epcontrast import (
     save_checkpoint,
 )
 from epcontrast import errors
+from epcontrast.pointcloud import _ascii_lines, _bulk_ascii
 
 PACKAGE_ERRORS = tuple(
     obj
@@ -112,6 +113,68 @@ def test_ascii_corruption(tmp_path, labeled, data):
     np.testing.assert_array_equal(back.positions, loaded.positions)
     np.testing.assert_array_equal(back.colors, loaded.colors)
     np.testing.assert_array_equal(back.labels, loaded.labels)
+
+
+def bulk_agrees_with_lines(data: bytes) -> bool:
+    """Whether the bulk ASCII parser took ``data``; when it did, the line
+    parser must return the same arrays, bit for bit."""
+    bulk = _bulk_ascii(data)
+    if bulk is None:
+        return False
+    for ours, theirs in zip(bulk, _ascii_lines("scene.txt", data)):
+        if ours is None or theirs is None:
+            assert ours is None and theirs is None
+            continue
+        assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
+        assert np.ascontiguousarray(ours).tobytes() == theirs.tobytes()
+    return True
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+@FUZZ
+@given(data=st.data())
+def test_ascii_bulk_parse_matches_lines_or_declines(tmp_path, labeled, data):
+    blob = saved_bytes(save_ascii, small_cloud(labeled), tmp_path / "clean.txt")
+    assert bulk_agrees_with_lines(blob)
+    bulk_agrees_with_lines(data.draw(corruptions(blob, [])))
+
+
+@pytest.mark.parametrize(
+    "text, taken",
+    [
+        ("0 0 0 1 1 1\n# note\n0 0 0 1 1 1\n", False),
+        ("0 0 0 1 1 1 3 # inline\n", False),
+        ("0 0 0 1 1 1 1_0\n", False),
+        ("1_0 0 0 1 1 1\n", False),
+        ("0 0 0 1 1 1 +3\n", True),
+        ("0 0 0 1 1 1 3.0\n", False),
+        ("0 0 0 1 1 1 007\n", True),
+        ("0 0 0 1 1 1 -2\n", True),
+        ("0 0 0 1 1 1 99999999999999999999\n", False),
+        ("nan 0 0 1 1 1\n", False),
+        ("0 0 0 nan 1 1\n", False),
+        ("1e400 0 0 1 1 1\n", False),
+        ("0 0 0 1.5 1 1\n", False),
+        ("0x1p3 0 0 1 1 1\n", False),
+        ("1. .5 -2e-3 0.25 1 0\n", True),
+        ("0\t0\t0\t1\t1\t1\n", True),
+        ("0\x0b0 0 1 1 1\x0c\n", True),
+        ("0\x1c0 0 1 1 1\n", True),
+        ("0 0 0 1 1 1\r\n0 1 0 1 1 1\r\n", True),
+        ("0 0 0 1 1 1\r0 1 0 1 1 1\n", True),
+        ("\n  \n0 0 0 1 1 1\n\n\t\n0 1 0 1 1 1", True),
+        ("0 0 0 1 1 1\n0 0 0 1 1 1 2\n", False),
+        ("0 0 0 1 1 1 2\n0 0 0 1 1 1\n", False),
+        ("0 0 0 1 1\n", False),
+        ("0 0 0 1 1 1 2 3\n", False),
+        ("0 0 0 1 1 1\x00\n", False),
+        ("", False),
+        ("\n \n", False),
+        ("0 0 0 1 1 1 caf\u00e9\n", False),
+    ],
+)
+def test_ascii_bulk_parse_on_crafted_lines(text, taken):
+    assert bulk_agrees_with_lines(text.encode("utf-8")) == taken
 
 
 @pytest.mark.parametrize("labeled", [False, True])

@@ -470,4 +470,4 @@ class TestMemory:
         cloud = PointCloud(rng.normal(size=(n, 3)), rng.uniform(0, 1, (n, 3)))
         cfg = KMeansConfig(target_segments=m, max_iters=2)
         peak = self.peak_bytes(lambda: kmeans_segments(cloud, cfg))
-        assert peak <= 4 * n * 6 * 8 + 2 * numcore._BLOCK_BYTES
+        assert peak <= 4 * n * 6 * 8 + 2 * numcore._ASSIGN_BLOCK_BYTES

@@ -96,6 +96,12 @@ class TestAsciiFormat:
         with pytest.raises(ParseError, match=r"bytes\.txt:3: not valid UTF-8"):
             load_ascii(path)
 
+    def test_overflowing_label_names_its_line(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("0 0 0 1 1 1 3\n0 0 0 1 1 1 99999999999999999999\n")
+        with pytest.raises(RangeError, match=r"big\.txt:2: label 99999999999999999999"):
+            load_ascii(path)
+
     def test_mixed_label_modes_rejected(self, tmp_path):
         path = tmp_path / "mixed.txt"
         path.write_text("0 0 0 1 1 1\n0 0 0 1 1 1 3\n")

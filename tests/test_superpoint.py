@@ -14,7 +14,7 @@ from epcontrast import (
 from epcontrast import numcore
 from epcontrast.errors import PartitionError
 from epcontrast.rng import substream
-from epcontrast.superpoint import _kmeans_pp_init, lloyd_kmeans
+from epcontrast.superpoint import _assign, _kmeans_pp_init, lloyd_kmeans
 
 
 def two_blob_scene(rng, per_blob=60, separation=50.0):
@@ -130,12 +130,54 @@ class TestLloydKernels:
     def test_row_blocks_do_not_change_a_bit(self, m, monkeypatch):
         feats = segment_features(random_scene(substream(830, m), 200), 1.0)
         whole = lloyd_kmeans(feats, m, 20, 0.0, substream(831, m))
-        monkeypatch.setattr(numcore, "_BLOCK_BYTES", 8 * m * 3)
-        assert [b.stop - b.start for b in numcore._row_blocks(200, m)][:2] == [3, 3]
+        monkeypatch.setattr(numcore, "_ASSIGN_BLOCK_BYTES", 8 * m * 3)
+        assert [b.stop - b.start for b in numcore._gemm_row_blocks(200, m)][:2] == [3, 3]
+        gemm_rows, real_matmul = [], np.matmul
+
+        def matmul(a, b, **kw):
+            gemm_rows.append(a.shape[0])
+            return real_matmul(a, b, **kw)
+
+        monkeypatch.setattr(np, "matmul", matmul)
         blocked = lloyd_kmeans(feats, m, 20, 0.0, substream(831, m))
+        monkeypatch.undo()
+        # every Lloyd iteration scored 66 blocks of three rows and one of two
+        assert gemm_rows == ([3] * 66 + [2]) * len(blocked[2])
         np.testing.assert_array_equal(blocked[0], whole[0])
         np.testing.assert_array_equal(blocked[1], whole[1])
         assert blocked[2] == whole[2]
+
+    @pytest.mark.parametrize("m", [2, 7, 40, 2000])
+    def test_assignment_replicates_unfused_scores(self, m):
+        # two full blocks and a one-row tail, which must join the second
+        # block: a one-row matmul goes to gemv and rounds differently
+        step = numcore._ASSIGN_BLOCK_BYTES // (8 * m)
+        n = 2 * step + 1
+        rng = substream(834, m)
+        x = segment_features(random_scene(rng, n), 1.0)
+        centers = x[rng.choice(n, size=m, replace=m > n)]
+        centers[2::3] = centers[:-2:3]  # duplicates: exact ties
+        x[::5] = centers[rng.integers(m, size=x[::5].shape[0])]  # points on centers
+        pairs = centers[rng.integers(m, size=(2, x[1::5].shape[0]))]
+        x[1::5] = 0.5 * (pairs[0] + pairs[1])  # midpoints: ties up to rounding
+        blocks = numcore._gemm_row_blocks(n, m)
+        assert [b.stop - b.start for b in blocks] == [step, step + 1]
+        xa = np.hstack([x, np.ones((n, 1))])
+        labels = np.empty(n, dtype=np.int64)
+        _assign(xa, centers, labels)
+        expected = np.argmin(x @ (-2.0 * centers).T + np.sum(centers**2, axis=1), axis=1)
+        np.testing.assert_array_equal(labels, expected)
+
+    def test_gemm_row_blocks_never_leave_one_row(self):
+        for n in range(1, 40):
+            for row_len in (1, 10, 1 << 20):
+                blocks = numcore._gemm_row_blocks(n, row_len)
+                sizes = [b.stop - b.start for b in blocks]
+                assert blocks[0].start == 0 and blocks[-1].stop == n
+                assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+                assert min(sizes) >= 2 or n == 1
+                step = max(2, numcore._ASSIGN_BLOCK_BYTES // (8 * row_len))
+                assert max(sizes) <= step + 1
 
     def test_seeding_draws_what_choice_draws(self):
         # the random stream is part of the determinism contract: same
