@@ -19,10 +19,11 @@ the channel loss.
 
 The point and segment losses score query rows against key rows in row
 blocks of bounded size (:func:`_rows_contrast`), so their memory does not
-grow with the full (queries x keys) score matrix. Every loss normalizes
-through :mod:`epcontrast.numcore`'s eps-floored L2 normalization of rows,
-forward and backward; the channel loss works on the transposed (C, N)
-views, whose rows are the channel maps.
+grow with the full (queries x keys) score matrix, and normalize through
+:mod:`epcontrast.numcore`'s eps-floored L2 normalization of rows, forward
+and backward. The channel loss builds no normalized copy of its views: it
+divides one C x C Gram matrix by the eps-floored column norms and carries
+those divisors into its gradients.
 
 Every loss has a brute-force twin (:func:`brute_force_loss`) that walks
 the pair sets with plain Python loops and no shared code path, both
@@ -38,7 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyNegativeSetError, ShapeError
-from .numcore import DEFAULT_EPS, _row_blocks, _unit_rows, _unit_rows_backward, as_matrix
+from .numcore import (
+    DEFAULT_EPS,
+    _col_norms,
+    _row_blocks,
+    _unit_rows,
+    _unit_rows_backward,
+    as_matrix,
+)
 from .superpoint import SegmentAssignment
 
 KINDS = ("pc", "ag", "cc", "ep")
@@ -116,19 +124,21 @@ def count_pairs(kind: str, n: int, m: int, c: int) -> tuple[int, int]:
 def _softmax_rows(den, pos, pos_col, cfg, anchors=None):
     """Per-anchor -log softmax terms; ``den`` becomes dloss/dscores.
 
-    den: (A, K) candidate denominator scores (already divided by tau, abs
-         applied where the scheme demands it), with -inf at the positive
-         and at every other entry outside the anchor's negative set.
-    pos: (A,) positive scores (already divided by tau).
+    den: (A, K) candidate denominator scores on the 1/tau scale
+         (similarity over tau, abs applied where the scheme demands it),
+         with -inf at the positive and at every other entry outside the
+         anchor's negative set.
+    pos: (A,) positive scores on the same scale.
     pos_col: (A,) column of each anchor's positive in ``den``.
     anchors: anchors the loss reduces over (default A); a row block of a
          larger loss passes the full count so "mean" scales by it.
 
-    ``den`` is exponentiated, normalized and turned into the gradient of
-    the loss with respect to the scaled scores in place: the softmax mass
-    on each negative, plus (positive mass - 1) at the positive's column,
-    times the reduction scale over tau. An anchor with no negative leaves
-    a -inf row maximum and raises :class:`EmptyNegativeSetError`.
+    ``den`` is exponentiated and turned in place into the gradient of the
+    loss with respect to the unscaled similarities: the softmax mass on
+    each negative, plus (positive mass - 1) at the positive's column, times
+    the reduction scale over tau. The normalization and that factor are
+    one multiply per entry. An anchor with no negative leaves a -inf row
+    maximum and raises :class:`EmptyNegativeSetError`.
     """
     hi = den.max(axis=1)
     empty = np.flatnonzero(hi == -np.inf)
@@ -147,9 +157,9 @@ def _softmax_rows(den, pos, pos_col, cfg, anchors=None):
         pos_w = np.zeros_like(pos)
     terms = hi + np.log(denom) - pos
     scale = 1.0 if cfg.reduction == "sum" else 1.0 / (anchors or den.shape[0])
-    den /= denom[:, None]
-    den[np.arange(den.shape[0]), pos_col] += pos_w - 1.0
-    den *= scale / cfg.tau
+    step = scale / cfg.tau
+    den *= (step / denom)[:, None]
+    den[np.arange(den.shape[0]), pos_col] += (pos_w - 1.0) * step
     return terms
 
 
@@ -215,9 +225,8 @@ def _sample_negatives(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _block_terms(scores, pos_col, cfg, anchors):
-    """Scale one block's raw scores by tau, set its positives aside and run
-    the softmax core; ``scores`` becomes the block's dloss/dscores."""
-    scores /= cfg.tau
+    """Set one block's positives aside and run the softmax core; ``scores``
+    becomes the block's dloss/dscores."""
     rows = np.arange(scores.shape[0])
     pos = scores[rows, pos_col]
     scores[rows, pos_col] = -np.inf
@@ -233,17 +242,20 @@ def _rows_contrast(fq, fk, pos_col, cfg, negatives=None):
     fk. The queries are walked in row blocks whose score buffer (rows x
     keys) or gathered key rows (rows x (k + 1) x C, sampled) stay within
     _BLOCK_BYTES; each block's buffer becomes its dloss/dscores in place.
-    The per-anchor terms are reduced once, after the last block.
+    The per-anchor terms are reduced once, after the last block. The
+    scores come from the queries divided by tau once, so no block is
+    rescaled; the gradients take the unscaled queries.
     """
     hq, hk = fq, fk
     if cfg.normalize_rows:
         (hq, dq), (hk, dk) = _unit_rows(fq), _unit_rows(fk)
+    sq = hq / cfg.tau
     n, c = hq.shape
     terms = np.empty(n)
     ghq = np.empty((n, c))
     if negatives is None:
         for b in _row_blocks(n, hk.shape[0]):
-            d = hq[b] @ hk.T
+            d = sq[b] @ hk.T
             terms[b] = _block_terms(d, pos_col[b], cfg, n)
             ghq[b] = d @ hk
             part = d.T @ hq[b]
@@ -259,7 +271,7 @@ def _rows_contrast(fq, fk, pos_col, cfg, negatives=None):
         col0 = np.zeros(n, dtype=np.int64)
         for b in _row_blocks(n, cols.shape[1] * c):
             keys = hk[cols[b]]  # (rows, k + 1, C)
-            d = np.matmul(keys, hq[b, :, None])[:, :, 0]
+            d = np.matmul(keys, sq[b, :, None])[:, :, 0]
             terms[b] = _block_terms(d, col0[b], cfg, n)
             ghq[b] = np.matmul(d[:, None, :], keys)[:, 0, :]
             dscores[b] = d
@@ -355,16 +367,23 @@ def channel_contrast(f1: np.ndarray, f2: np.ndarray, cfg: LossConfig) -> LossOut
     so both correlated and anti-correlated channel pairs are penalized;
     the positive numerator keeps its sign. The subgradient of |x| at 0 is
     taken to be 0.
+
+    The cosines come from one C x C Gram matrix of the raw columns divided
+    by their norms max(‖col‖₂, eps), and each gradient is one (N, C) x
+    (C, C) product less a per-channel multiple of the view itself; no
+    normalized copy of a view is built. A channel at the eps floor gets
+    the gradient of its unit column divided by eps.
     """
     f1, f2 = _view_pair(f1, f2)
     c = f1.shape[1]
     if c < 2:
         raise EmptyNegativeSetError("channel loss needs C >= 2 for a negative set")
 
-    h1, h2 = f1.T, f2.T  # (C, N): the rows are the channel maps
+    gram = f1.T @ f2  # (C, C): gram[i, j] = c1_i . c2_j
     if cfg.normalize_channels:
-        (h1, d1), (h2, d2) = _unit_rows(h1), _unit_rows(h2)
-    gram = h1 @ h2.T  # (C, C): gram[i, j] = c1_i . c2_j
+        d1, d2 = _col_norms(f1), _col_norms(f2)
+        gram /= d1[:, None]
+        gram /= d2[None, :]
     scores = gram / cfg.tau
 
     pos = np.diagonal(scores).copy()
@@ -375,15 +394,17 @@ def channel_contrast(f1: np.ndarray, f2: np.ndarray, cfg: LossConfig) -> LossOut
     np.fill_diagonal(sign, 1.0)
     dgram = den * sign
 
-    # the gradients' layout decides how BLAS rounds the encoder backward, and
-    # checkpoints are pinned: F-ordered (N, C) when normalized, else C-ordered
-    order = "C" if cfg.normalize_channels else "F"
-    gh1 = np.matmul(dgram, h2, out=np.empty(h2.shape, order=order))
-    gh2 = np.matmul(dgram.T, h1, out=np.empty(h1.shape, order=order))
-    if cfg.normalize_channels:
-        gh1 = _unit_rows_backward(gh1, h1, d1)
-        gh2 = _unit_rows_backward(gh2, h2, d2)
-    return LossOutput(value, gh1.T, gh2.T)
+    if not cfg.normalize_channels:
+        return LossOutput(value, f2 @ dgram.T, f1 @ dgram)
+    # through c / max(‖c‖, eps): the unit column's gradient less its
+    # projection on the column, over the norm; no projection at the floor
+    dots1 = np.einsum("ij,ij->i", dgram, gram) * (d1 > DEFAULT_EPS)
+    dots2 = np.einsum("ij,ij->j", dgram, gram) * (d2 > DEFAULT_EPS)
+    g1 = f2 @ (dgram.T / d2[:, None] / d1[None, :])
+    g1 -= f1 * (dots1 / d1**2)
+    g2 = f1 @ (dgram / d1[:, None] / d2[None, :])
+    g2 -= f2 * (dots2 / d2**2)
+    return LossOutput(value, g1, g2)
 
 
 def ep_contrast(

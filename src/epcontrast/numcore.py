@@ -6,7 +6,8 @@ the public loss entry points; the kernels here trust validated operands
 and do not re-check them. The heavy lifting is delegated to numpy. The
 row-block budgets of the loss kernels and of the superpoint assignment
 live here, as does the eps-floored L2 normalization of rows, forward and
-backward, that all three losses use.
+backward, that the point and segment losses use; the channel loss takes
+only the eps-floored column norms.
 """
 
 from __future__ import annotations
@@ -73,6 +74,11 @@ def _unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keep ``m``'s memory layout, so a transposed view gives unit columns."""
     d = np.maximum(np.sqrt(np.einsum("ij,ij->i", m, m)), DEFAULT_EPS)
     return m / d[:, None], d
+
+
+def _col_norms(m: np.ndarray) -> np.ndarray:
+    """The divisors max(‖column‖₂, eps) of ``m``'s columns."""
+    return np.maximum(np.sqrt(np.einsum("ij,ij->j", m, m)), DEFAULT_EPS)
 
 
 def _unit_rows_backward(g: np.ndarray, hat: np.ndarray, d: np.ndarray) -> np.ndarray:

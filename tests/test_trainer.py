@@ -18,6 +18,7 @@ from epcontrast import (
     linear_probe,
     pretrain,
 )
+from epcontrast import trainer
 from epcontrast.encoder import encoder_forward
 from epcontrast.errors import DivergenceError, UnlabeledSceneError
 from epcontrast.pointcloud import AugmentParams
@@ -187,6 +188,59 @@ class TestPretrain:
         assert lrs[0] == pytest.approx(0.02)
         assert lrs[-1] == pytest.approx(0.0, abs=1e-12)
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
+
+    def test_constant_schedule_keeps_lr_fixed(self):
+        scenes = tiny_scenes(count=4)
+        cfg = tiny_train_cfg(epochs=3, lr_schedule="constant", base_lr=0.02)
+        _, history = pretrain(scenes, cfg, KMeansConfig(target_segments=4))
+        assert [row[3] for row in history] == [0.02] * 12
+
+    def test_batch_step_applies_mean_gradient_and_logs_mean_loss(self, monkeypatch):
+        """With batch_size = B, each Adam step gets the mean of its scenes'
+        gradients (each the sum of the two views' encoder backwards) and the
+        history row the mean of their losses; 5 scenes make batches of 2, 2
+        and 1."""
+        values, backwards, adam_grads = [], [], []
+        real_contrast = trainer.contrast
+        real_backward = trainer.encoder_backward
+        real_adam = trainer.adam_step
+
+        def contrast(*args):
+            out = real_contrast(*args)
+            values.append(out.value)
+            return out
+
+        def encoder_backward(*args):
+            grads = real_backward(*args)
+            backwards.append(grads)
+            return grads
+
+        def adam_step(params, grads, *args):
+            adam_grads.append(grads)
+            return real_adam(params, grads, *args)
+
+        def flat(p):
+            return p.weights + p.biases
+
+        monkeypatch.setattr(trainer, "contrast", contrast)
+        monkeypatch.setattr(trainer, "encoder_backward", encoder_backward)
+        monkeypatch.setattr(trainer, "adam_step", adam_step)
+        scenes = tiny_scenes(count=5)
+        cfg = tiny_train_cfg(batch_size=2)
+        _, history = pretrain(scenes, cfg, KMeansConfig(target_segments=4))
+
+        assert len(history) == len(adam_grads) == 3
+        assert len(values) == 5 and len(backwards) == 10
+        first = 0
+        for row, grads, size in zip(history, adam_grads, (2, 2, 1)):
+            assert row[2] == pytest.approx(np.mean(values[first : first + size]), rel=1e-15)
+            scene_grads = [
+                [a + b for a, b in zip(flat(backwards[2 * s]), flat(backwards[2 * s + 1]))]
+                for s in range(first, first + size)
+            ]
+            for got, *parts in zip(flat(grads), *scene_grads):
+                np.testing.assert_allclose(got, sum(parts) / size, rtol=1e-13, atol=1e-15)
+            first += size
 
 
 class TestLinearProbe:
