@@ -32,31 +32,36 @@ _BLOCK_BYTES = 8 << 20
 # which is fastest while the block stays in cache. On a host with a 2 MiB
 # L2 cache, before the fused GEMM, six N = 8192, M = 256 scenes segmented
 # in 1.23 s at 8 MiB, 1.18 s at 2 MiB, 1.00 s at 1 MiB, 0.97 s at 512 KiB,
-# 0.99 s at 256 KiB and 1.08 s at 128 KiB blocks.
+# 0.99 s at 256 KiB and 1.08 s at 128 KiB blocks. The channel loss takes its
+# elementwise gradient update in blocks of the same size.
 _ASSIGN_BLOCK_BYTES = 512 << 10
 
 
-def _row_blocks(n: int, row_len: int) -> list[slice]:
+def _blocks(n: int, row_len: int, budget: int) -> list[slice]:
     """Consecutive row slices covering range(n), each holding at most
-    _BLOCK_BYTES of float64 rows of ``row_len`` entries (one row when a
-    single row is larger)."""
-    step = max(1, _BLOCK_BYTES // (8 * row_len))
-    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
-
-
-def _gemm_row_blocks(n: int, row_len: int) -> list[slice]:
-    """Consecutive row slices covering range(n) within _ASSIGN_BLOCK_BYTES,
-    none with a single row unless n == 1.
+    ``budget`` bytes of float64 rows of ``row_len`` entries, none with a
+    single row unless n == 1.
 
     numpy hands a one-row matmul to gemv, which rounds a sum differently
     from gemm, so a one-row tail joins the block before it and a block
     holds two rows when two rows already exceed the budget.
     """
-    step = max(2, _ASSIGN_BLOCK_BYTES // (8 * row_len))
+    step = max(2, budget // (8 * row_len))
     starts = list(range(0, n, step))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _row_blocks(n: int, row_len: int) -> list[slice]:
+    """The pc and ag loss kernels' row blocks: :func:`_blocks` within
+    _BLOCK_BYTES."""
+    return _blocks(n, row_len, _BLOCK_BYTES)
+
+
+def _gemm_row_blocks(n: int, row_len: int) -> list[slice]:
+    """Cache-sized row blocks: :func:`_blocks` within _ASSIGN_BLOCK_BYTES."""
+    return _blocks(n, row_len, _ASSIGN_BLOCK_BYTES)
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:

@@ -1,9 +1,14 @@
 """End-to-end command-line behavior through cli_main."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import epcontrast
 from epcontrast import load_binary, load_checkpoint, losses
 from epcontrast.cli import DEFAULTS, RunConfig, cli_main
 from epcontrast.errors import ConfigError
@@ -132,6 +137,33 @@ class TestCommands:
                               "--out", str(tmp_path / "x.epck"))
         assert code == 1
         assert "error:" in stderr
+
+
+class TestDeterminism:
+    def test_desk_checkpoint_bytes_equal_under_one_and_two_blas_threads(self, capsys, tmp_path):
+        """A 1-epoch desk ep pretrain, in a child process per OpenBLAS thread
+        count, writes the same checkpoint bytes: the loss kernels' GEMM
+        shapes at desk sizes (N = 1024, M = 32, C = 32) round alike under
+        either count. The count is read once, at start-up, hence the
+        children."""
+        scene_dir = tmp_path / "scenes"
+        assert run(capsys, "gen", "--out", str(scene_dir), "--scenes", "32")[0] == 0
+        src = str(Path(epcontrast.__file__).resolve().parents[1])
+        blobs = []
+        for threads in ("1", "2"):
+            ckpt = tmp_path / f"enc_{threads}.epck"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from epcontrast.cli import cli_main; sys.exit(cli_main(sys.argv[1:]))",
+                 "pretrain", "--data", str(scene_dir), "--out", str(ckpt), "--loss", "ep",
+                 "--set", "seed=0", "--set", "train.epochs=1", "--set", "kmeans.segments=32"],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            blobs.append(ckpt.read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestCheck:

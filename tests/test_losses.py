@@ -23,10 +23,10 @@ from epcontrast import (
     segment_pool,
     segment_pool_backward,
 )
-from epcontrast import numcore
+from epcontrast import losses, numcore
 from epcontrast.bench import accounted_bytes
 from epcontrast.errors import EmptyNegativeSetError, RangeError, ShapeError
-from epcontrast.losses import KINDS, _sample_negatives, _softmax_rows
+from epcontrast.losses import KINDS, PAIR_KINDS, _NO_SHIFT_LIMIT, _sample_negatives, _softmax_rows
 from epcontrast.numcore import _row_blocks, _unit_rows, _unit_rows_backward
 from epcontrast.rng import substream
 from epcontrast.selfcheck import (
@@ -255,8 +255,9 @@ class TestStructuralProperties:
                 (h1, d1), (h2, d2) = _unit_rows(h1), _unit_rows(h2)
             gram = h1 @ h2.T
             den = np.abs(gram / cfg.tau)
-            np.fill_diagonal(den, -np.inf)
-            _softmax_rows(den, np.diagonal(gram) / cfg.tau, np.arange(4), cfg)
+            np.fill_diagonal(den, np.diagonal(gram) / cfg.tau)
+            _, r = _softmax_rows(den, np.arange(4), cfg, np.abs(den).max(), 4)
+            den *= r[:, None]
             sign = np.sign(gram)
             np.fill_diagonal(sign, 1.0)
             gh1, gh2 = (den * sign) @ h2, (den * sign).T @ h1
@@ -282,9 +283,17 @@ class TestStructuralProperties:
             ag_contrast(f, f, seg_one, SUM_CFG)
 
     def test_anchor_with_every_entry_excluded_raises(self):
-        den = np.array([[-np.inf, 0.5], [-np.inf, -np.inf]])
-        with pytest.raises(EmptyNegativeSetError, match="anchor 1"):
-            _softmax_rows(den, np.zeros(2), np.array([0, 1]), SUM_CFG)
+        """Without a shift the empty row's denominator is 0; with one, its
+        maximum is -inf. Either way the anchor is named by its index in
+        the loss, not in the block."""
+        den = np.array([[0.0, 0.5], [-np.inf, 0.0]])
+        for bound in (1.0, 2 * _NO_SHIFT_LIMIT):
+            for cfg in (SUM_CFG,
+                        LossConfig(reduction="sum", include_positive_in_denominator=True)):
+                with pytest.raises(EmptyNegativeSetError, match="anchor 1 "):
+                    _softmax_rows(den.copy(), np.array([0, 1]), cfg, bound, 2)
+                with pytest.raises(EmptyNegativeSetError, match="anchor 8 "):
+                    _softmax_rows(den.copy(), np.array([0, 1]), cfg, bound, 9, first=7)
 
     def test_dispatch_rejects_unknown_kind_and_missing_segments(self):
         with pytest.raises(ValueError, match="unknown loss kind"):
@@ -353,6 +362,92 @@ class TestRowBlocks:
             num2 = central_diff(lambda x: run(f1, x).value, f2)
             assert rel_err(out.grad_f1, num1) <= 1e-5, (kind, cfg)
             assert rel_err(out.grad_f2, num2) <= 1e-5, (kind, cfg)
+
+
+def shifted_reference(kind, f1, f2, seg, cfg):
+    """The loss of a pair kind as a max-shifted log-sum-exp over its scores."""
+    if kind == "cc":
+        q, k, pos_col, normalize = f1.T, f2.T, np.arange(f1.shape[1]), cfg.normalize_channels
+    else:
+        q, k = f1, (f2 if kind == "pc" else segment_pool(f2, seg))
+        pos_col = np.arange(f1.shape[0]) if kind == "pc" else seg.segment_of
+        normalize = cfg.normalize_rows
+    if normalize:
+        q, k = _unit_rows(q)[0], _unit_rows(k)[0]
+    s = q @ k.T / cfg.tau
+    rows = np.arange(len(pos_col))
+    pos = s[rows, pos_col].copy()
+    if kind == "cc":
+        s = np.abs(s)
+    s[rows, pos_col] = pos if cfg.include_positive_in_denominator else -np.inf
+    hi = s.max(axis=1)
+    terms = hi + np.log(np.exp(s - hi[:, None]).sum(axis=1)) - pos
+    return terms.sum() if cfg.reduction == "sum" else terms.mean()
+
+
+class TestScoreRange:
+    """The core skips the row-max shift only while the caller's bound on the
+    scores is below _NO_SHIFT_LIMIT. Raw rows of norm ~100 at tau = 1 and
+    unit rows at tau = 1 / (2 * limit) have scores whose exp overflows, so
+    they must take the shifted branch; unit rows with 1/tau just below the
+    limit take the unshifted one and stay finite."""
+
+    CASES = {
+        "raw rows of norm ~100": (50.0, 1.0, False, True),
+        "unit rows, tau below 1/limit": (1.0, 0.5 / _NO_SHIFT_LIMIT, True, True),
+        "unit rows, 1/tau just below the limit": (1.0, 1.0 / (_NO_SHIFT_LIMIT - 1), True, False),
+    }
+
+    @staticmethod
+    def bounds_seen(monkeypatch):
+        seen = []
+        core = losses._softmax_rows
+
+        def spy(scores, pos_col, cfg, bound, anchors, first=0):
+            seen.append(bound)
+            return core(scores, pos_col, cfg, bound, anchors, first)
+
+        monkeypatch.setattr(losses, "_softmax_rows", spy)
+        return seen
+
+    @classmethod
+    def setting(cls, name, include_pos, rng, n, c, m):
+        scale, tau, normalize, shifted = cls.CASES[name]
+        f1, f2, seg = random_instance(rng, n, c, m)
+        cfg = LossConfig(reduction="sum", tau=tau, normalize_rows=normalize,
+                         normalize_channels=normalize,
+                         include_positive_in_denominator=include_pos)
+        return scale * f1, scale * f2, seg, cfg, shifted
+
+    @pytest.mark.parametrize("include_pos", [False, True])
+    @pytest.mark.parametrize("name", CASES)
+    def test_values_match_shifted_log_sum_exp(self, name, include_pos, monkeypatch):
+        f1, f2, seg, cfg, shifted = self.setting(name, include_pos, substream(825, 0), 24, 4, 5)
+        seen = self.bounds_seen(monkeypatch)
+        for kind in PAIR_KINDS:
+            got = contrast(kind, f1, f2, seg, cfg).value
+            assert np.isfinite(got), (name, kind)
+            assert rel_err(got, shifted_reference(kind, f1, f2, seg, cfg)) <= 1e-12, (name, kind)
+        assert len(seen) == 3 and all((b >= _NO_SHIFT_LIMIT) == shifted for b in seen), seen
+
+    @pytest.mark.parametrize("include_pos", [False, True])
+    @pytest.mark.parametrize("name", CASES)
+    def test_gradients_match_central_differences(self, name, include_pos, monkeypatch):
+        f1, f2, seg, cfg, shifted = self.setting(name, include_pos, substream(826, 0), 6, 3, 3)
+        seen = self.bounds_seen(monkeypatch)
+        for kind, k in (("pc", None), ("pc", 2), ("ag", None), ("cc", None)):
+            run_cfg = LossConfig(**{**vars(cfg), "neg_sample_count": k})
+
+            def run(a, b):
+                return contrast(kind, a, b, seg, run_cfg, substream(58, 0))
+
+            out = run(f1, f2)
+            assert np.all(np.isfinite(out.grad_f1)) and np.all(np.isfinite(out.grad_f2))
+            num1 = central_diff(lambda x: run(x, f2).value, f1)
+            num2 = central_diff(lambda x: run(f1, x).value, f2)
+            assert rel_err(out.grad_f1, num1) <= 1e-5, (name, kind, k)
+            assert rel_err(out.grad_f2, num2) <= 1e-5, (name, kind, k)
+        assert all((b >= _NO_SHIFT_LIMIT) == shifted for b in seen), seen
 
 
 class TestSampling:
@@ -452,7 +547,8 @@ class TestMemory:
     """The kernels carry one score buffer, or one row block of it: tracemalloc's
     peak stays within twice the accounted bytes (8 per scored similarity),
     and within them once the scores fill several blocks. The channel loss,
-    whose C x C scores are negligible, stays within three N x C buffers. The
+    whose C x C scores are negligible, stays within its two N x C gradients
+    and a cache-sized block. The
     k-means that makes the segments stays within a few N x 6 feature copies
     and one block."""
 
@@ -490,7 +586,7 @@ class TestMemory:
         rng = substream(822, 0)
         f1, f2 = rng.normal(size=(n, c)), rng.normal(size=(n, c))
         peak = self.peak_bytes(lambda: channel_contrast(f1, f2, LossConfig()))
-        assert peak <= 3 * n * c * 8 + (1 << 20)
+        assert peak <= 2 * n * c * 8 + (1 << 20)
 
     def test_kmeans_peak_within_features_and_blocks(self):
         # the superpoints feeding ag at the default segment count: the

@@ -1,8 +1,8 @@
-"""Kernel contracts: eps-floored normalization, forward and backward."""
+"""Kernel contracts: row blocks, eps-floored normalization, forward and backward."""
 
 import numpy as np
 
-from epcontrast import row_l2_normalize
+from epcontrast import numcore, row_l2_normalize
 from epcontrast.numcore import DEFAULT_EPS, _unit_rows, _unit_rows_backward
 from epcontrast.selfcheck import central_diff, rel_err
 
@@ -48,3 +48,18 @@ class TestUnitRowsBackward:
         assert rel_err(back[live], num[live]) <= 1e-5
         np.testing.assert_array_equal(back[[1, 3]], g[[1, 3]] / DEFAULT_EPS)
 
+
+
+class TestRowBlocks:
+    def test_loss_blocks_never_leave_one_row(self, monkeypatch):
+        """The pc and ag score GEMMs run per block, and numpy sends a
+        one-row matmul to gemv; a one-row tail joins the block before it."""
+        for step in (2, 3, 5):
+            monkeypatch.setattr(numcore, "_BLOCK_BYTES", 8 * 7 * step)
+            for n in range(1, 40):
+                blocks = numcore._row_blocks(n, 7)
+                sizes = [b.stop - b.start for b in blocks]
+                assert blocks[0].start == 0 and blocks[-1].stop == n
+                assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+                assert min(sizes) >= 2 or n == 1
+                assert max(sizes) <= step + 1
