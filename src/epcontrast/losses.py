@@ -249,14 +249,37 @@ def _sample_negatives(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
     Floyd's algorithm run for all anchors at once: slot t draws from the
     first ``top + 1`` candidates and takes ``top`` itself when the draw is
-    already held, which leaves every k-subset equally likely.
+    already held, which leaves every k-subset equally likely. All k draws
+    are made first, slot by slot as the loop would make them; a draw is
+    held when it repeats an earlier draw of its row (one sort of each row
+    finds those: the earlier slot took that value or found it held), or
+    when it is the top of an earlier slot that took its top. Only the
+    second test chains from slot to slot, and it concerns few draws.
     """
-    picks = np.empty((n, k), dtype=np.int64)
-    for t, top in enumerate(range(n - 1 - k, n - 1)):
-        draw = rng.integers(0, top + 1, size=n)
-        held = (picks[:, :t] == draw[:, None]).any(axis=1)
-        picks[:, t] = np.where(held, top, draw)
-    return picks + (picks >= np.arange(n)[:, None])  # skip the anchor itself
+    lo = n - 1 - k  # slot t draws from [0, lo + t]; its top is lo + t
+    cols = np.empty((k, n), dtype=np.int64)
+    for t in range(k):
+        cols[t] = rng.integers(0, lo + t + 1, size=n)
+    picks = cols.T.copy()
+    bits = k.bit_length()
+    keys = picks << bits
+    keys |= np.arange(k)
+    keys.sort(axis=1)  # by draw, then slot
+    drawn = keys >> bits
+    rows, pos = np.nonzero(drawn[:, 1:] == drawn[:, :-1])
+    held = np.zeros((n, k), dtype=bool)
+    held[rows, keys[rows, pos + 1] & ((1 << bits) - 1)] = True
+    slot, rows = np.nonzero((picks >= lo).T)  # in slot order
+    src = picks[rows, slot] - lo  # the slot whose top was drawn
+    chain = src < slot
+    slot, rows, src = slot[chain], rows[chain], src[chain]
+    starts = np.flatnonzero(np.diff(slot, prepend=-1))
+    for a, b in zip(starts, np.append(starts[1:], slot.size)):
+        held[rows[a:b], slot[a]] |= held[rows[a:b], src[a:b]]
+    rows, slot = np.nonzero(held)
+    picks[rows, slot] = lo + slot
+    picks += picks >= np.arange(n)[:, None]  # skip the anchor itself
+    return picks
 
 
 def _row_norm_max(m):

@@ -145,8 +145,16 @@ def class_palette(num_classes: int) -> np.ndarray:
     return np.clip(rgb, 0.0, 1.0)
 
 
-def generate_scene(cfg: SyntheticSceneConfig, rng: np.random.Generator) -> PointCloud:
-    """One labeled synthetic scene of Gaussian color-coded blobs."""
+def generate_scene(
+    cfg: SyntheticSceneConfig, rng: np.random.Generator | None = None
+) -> PointCloud:
+    """One labeled synthetic scene of Gaussian color-coded blobs.
+
+    Without ``rng`` the scene is drawn from ``substream(cfg.seed, 0)``, the
+    stream of the first scene that ``epcontrast gen`` writes.
+    """
+    if rng is None:
+        rng = substream(cfg.seed, 0)
     k, ppc = cfg.num_clusters, cfg.points_per_cluster
     centers = rng.uniform(0.0, cfg.extent, size=(k, 3))
     palette = class_palette(k)

@@ -450,7 +450,35 @@ class TestScoreRange:
         assert all((b >= _NO_SHIFT_LIMIT) == shifted for b in seen), seen
 
 
+def floyd_loop_negatives(n, k, rng):
+    """Floyd's draw slot by slot, testing each draw against the held
+    picks, as first written."""
+    picks = np.empty((n, k), dtype=np.int64)
+    for t, top in enumerate(range(n - 1 - k, n - 1)):
+        draw = rng.integers(0, top + 1, size=n)
+        held = (picks[:, :t] == draw[:, None]).any(axis=1)
+        picks[:, t] = np.where(held, top, draw)
+    return picks + (picks >= np.arange(n)[:, None])
+
+
 class TestSampling:
+    def test_sampler_draws_what_the_loop_draws(self):
+        # the random stream is part of the determinism contract: same
+        # picks and the generator left in the same state
+        cases = 0
+        for n in (3, 4, 5, 8, 13, 40, 300):
+            for k in sorted({1, 2, (n - 1) // 2, n - 3, n - 2}):
+                if not 1 <= k < n - 1:
+                    continue
+                for seed in range(6):
+                    ours, theirs = substream(820, n, k, seed), substream(820, n, k, seed)
+                    np.testing.assert_array_equal(
+                        _sample_negatives(n, k, ours), floyd_loop_negatives(n, k, theirs)
+                    )
+                    assert ours.random() == theirs.random()
+                    cases += 1
+        assert cases == 156
+
     def test_sampler_draws_distinct_in_range_negatives(self):
         for n, k in ((3, 1), (10, 3), (10, 8), (200, 64)):
             picks = _sample_negatives(n, k, substream(817, n, k))

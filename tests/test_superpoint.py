@@ -14,7 +14,7 @@ from epcontrast import (
 from epcontrast import numcore
 from epcontrast.errors import PartitionError
 from epcontrast.rng import substream
-from epcontrast.superpoint import _assign, _kmeans_pp_init, lloyd_kmeans
+from epcontrast.superpoint import _assign, _kmeans_pp_init, _sq_dists_to, lloyd_kmeans
 
 
 def two_blob_scene(rng, per_blob=60, separation=50.0):
@@ -194,3 +194,66 @@ class TestLloydKernels:
                 _kmeans_pp_init(feats, m, ours), choice_kmeans_pp(feats, m, theirs)
             )
             assert ours.random() == theirs.random()
+
+
+class _TopOfUnitGenerator:
+    """A generator whose ``random()`` is the largest double below 1, so
+    every weighted pick lands at the far end of the D² weights; its
+    ``integers`` are a real generator's."""
+
+    def __init__(self, rng):
+        self.integers = rng.integers
+
+    def random(self):
+        return float(np.nextafter(1.0, 0.0))
+
+
+class TestSeedingEdges:
+    def test_draws_at_the_top_pick_weighted_points(self):
+        rng = substream(835, 0)
+        scenes = [segment_features(random_scene(rng, n), 1.0) for n in (7, 64, 65, 200, 1000)]
+        for seed, feats in enumerate(scenes):
+            m = min(40, feats.shape[0])
+            centers = _kmeans_pp_init(feats, m, _TopOfUnitGenerator(substream(836, seed)))
+            assert np.unique(centers, axis=0).shape[0] == m
+        # 6 distinct points repeated: six weighted picks, then uniform ones
+        feats = np.repeat(scenes[3][:6], 5, axis=0)
+        centers = _kmeans_pp_init(feats, 12, _TopOfUnitGenerator(substream(836, 9)))
+        assert np.unique(centers[:6], axis=0).shape[0] == 6
+
+    def test_draw_rounding_up_to_a_subnormal_total(self):
+        # the weights left after the first pick are subnormal, where
+        # u * total rounds up to total for u just below 1
+        tiny = 2.0**-538  # squares to 2**-1076, between 0 and the least subnormal
+        feats = np.zeros((130, 6))
+        feats[3, 0] = 3 * tiny
+        feats[70, 1] = 2 * tiny
+        total = feats[3, 0] ** 2 + feats[70, 1] ** 2
+        assert 0.0 < total < np.finfo(float).smallest_normal
+        assert np.nextafter(1.0, 0.0) * total == total
+        checked = 0
+        for seed in range(8):
+            rng = _TopOfUnitGenerator(substream(837, seed))
+            centers = _kmeans_pp_init(feats, 3, rng)
+            if not centers[0].any():  # the first pick fell on a zero point
+                assert np.unique(centers, axis=0).shape[0] == 3
+                checked += 1
+        assert checked
+
+    def test_distance_pass_matches_in_order_sum(self):
+        rng = substream(838, 0)
+        scale = 10.0 ** rng.integers(-12, 13, size=(6, 1))
+        cols = rng.normal(size=(6, 3001)) * scale * 10.0 ** rng.integers(-4, 5, size=3001)
+        buf, out = np.empty_like(cols), np.empty(3001)
+        for center in (cols[:, 17], cols[:, 2000] * 1.5, np.zeros(6)):
+            _sq_dists_to(cols, center, buf, out)
+            want = np.add.reduce(np.square(cols - center[:, None]), axis=0)
+            assert out.tobytes() == want.tobytes()
+
+
+class TestSegmentCount:
+    @pytest.mark.parametrize("m", [0, -1, 11])
+    def test_lloyd_rejects_segment_counts_outside_one_to_n(self, m):
+        feats = segment_features(random_scene(substream(839, 0), 10), 1.0)
+        with pytest.raises(PartitionError, match="10 points"):
+            lloyd_kmeans(feats, m, 5, 0.0, substream(839, 1))

@@ -47,6 +47,15 @@ class TestGenerateScene:
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.colors, b.colors)
 
+    def test_omitted_generator_draws_from_the_config_seed(self):
+        cfg = SyntheticSceneConfig(num_clusters=3, points_per_cluster=6, seed=7)
+        a, b = generate_scene(cfg), generate_scene(cfg)
+        np.testing.assert_array_equal(a.positions, b.positions)
+        np.testing.assert_array_equal(a.colors, b.colors)
+        np.testing.assert_array_equal(a.positions, generate_scene(cfg, substream(7, 0)).positions)
+        other = generate_scene(SyntheticSceneConfig(num_clusters=3, points_per_cluster=6, seed=8))
+        assert not np.array_equal(a.positions, other.positions)
+
     def test_palette_is_shared_across_scenes(self):
         cfg = SyntheticSceneConfig(num_clusters=5, points_per_cluster=3,
                                    color_noise_std=0.0)
