@@ -9,12 +9,13 @@ The point and segment losses never hold that many scores at once: they
 walk the queries in row blocks whose score buffer stays within a fixed
 8 MiB, and exponentiate, normalize and differentiate inside each block's
 buffer. Their measured (tracemalloc) peak is one block plus the N x C
-embedding buffers: 0.11x the accounted bytes for pc at N = 4000, 0.21x for
-ag at N = 8192, M = 1024 and 0.09x at N = 16384, M = 2000; at N = 4096,
-M = 512, whose 16 MiB of scores fill two blocks, it is 0.68x. Sampled pc
-scores only the N x (k + 1) pairs it draws. The channel loss's peak is
-set by its four N x C buffers (unit channel maps and gradients), not by
-its C x C scores: 64.1 MiB against 8 KiB accounted at N = 65536, C = 32.
+embedding buffers: 0.131x the accounted bytes for pc at N = 4000 and 0.093x
+for ag at N = 16384, M = 2000 (``BENCH_8.json``), 0.21x for ag at N = 8192,
+M = 1024; at N = 4096, M = 512, whose 16 MiB of scores fill two blocks, it
+is 0.68x. Sampled pc scores only the N x (k + 1) pairs it draws. The
+channel loss's peak is set by its two N x C gradient buffers, not by its
+C x C scores: 34.19 MB (2.04 N x C buffers; no unit channel maps are held)
+against 8 KiB accounted at N = 65536, C = 32 (``BENCH_8.json``).
 
 The accounted figures are deterministic and platform-independent: quadratic
 in N for the point loss, linear in N for the segment loss at fixed M, and

@@ -7,11 +7,12 @@ loss CSV), ``probe`` (linear-probe accuracy of a checkpoint), ``bench``
 sweeps of :mod:`epcontrast.selfcheck`).
 
 Settings come from a plain-text config file of ``key = value`` lines with
-``#`` comments and dot-namespaced keys; every key has a documented default
-(``DEFAULTS``), unknown keys are rejected. Precedence, lowest to highest:
-defaults, config file, the EPC_SEED environment variable (seed only),
-``--set key=value`` overrides, dedicated flags. Each run prints the fully
-resolved configuration before doing anything.
+``#`` comments and dot-namespaced keys. Each key names one field of a config
+dataclass (``SETTINGS``) and takes that field's default and value type;
+unknown keys are rejected. Precedence, lowest to highest: defaults, config
+file, the EPC_SEED environment variable (seed only), ``--set key=value``
+overrides, dedicated flags. Each run prints the fully resolved configuration
+before doing anything.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -38,70 +40,93 @@ from .trainer import (
     pretrain,
 )
 
-# key -> (default, help); value type is the type of the default
-DEFAULTS: dict[str, tuple] = {
-    "seed": (0, "master seed for every stream (EPC_SEED env overrides)"),
-    "scene.clusters": (8, "blobs per synthetic scene"),
-    "scene.points_per_cluster": (128, "points per blob"),
-    "scene.cluster_std": (0.35, "blob spatial std dev in meters"),
-    "scene.color_noise_std": (0.08, "per-point color noise std dev"),
-    "scene.extent": (10.0, "room edge length in meters"),
-    "augment.scale_min": (0.8, "lower bound of the uniform scale draw"),
-    "augment.scale_max": (1.2, "upper bound of the uniform scale draw"),
-    "augment.rot_axis": ("z", "rotation axis: x, y, or z"),
-    "augment.rot_max": (6.283185307179586, "max rotation angle in radians"),
-    "augment.jitter_sigma": (0.01, "per-coordinate jitter std dev in meters"),
-    "augment.jitter_clip": (0.05, "jitter clipping bound in meters"),
-    "kmeans.segments": (2000, "target superpoint segments per scene (clamped to N)"),
-    "kmeans.max_iters": (100, "Lloyd iteration cap"),
-    "kmeans.tol": (1e-4, "centroid-shift stopping threshold"),
-    "kmeans.color_weight": (1.0, "color scale vs unit-box positions in clustering"),
-    "loss.tau": (1.0, "softmax temperature"),
-    "loss.lambda": (0.1, "channel-loss weight in the combined objective"),
-    "loss.normalize_rows": (True, "L2-normalize point embeddings before similarities"),
-    "loss.normalize_channels": (True, "L2-normalize channel maps before similarities"),
-    "loss.include_positive": (False, "count the positive pair in the denominator"),
-    "loss.reduction": ("mean", "'mean' over positives or 'sum'"),
-    "loss.neg_samples": (0, "negatives sampled per anchor for the point loss; 0 = all"),
-    "loss.symmetric_ag": (False, "average both directions of the segment loss"),
-    "encoder.hidden": (64, "hidden width of the per-point MLP"),
-    "encoder.dim": (32, "embedding dimension C"),
-    "train.epochs": (20, "pre-training epochs"),
-    "train.batch_size": (1, "scenes per optimizer step"),
-    "train.lr": (0.01, "base learning rate"),
-    "train.schedule": ("cosine", "'cosine' or 'constant' learning-rate schedule"),
-    "train.beta1": (0.9, "first-moment decay"),
-    "train.beta2": (0.999, "second-moment decay"),
-    "train.eps": (1e-8, "optimizer epsilon"),
-    "probe.steps": (200, "full-batch gradient-descent steps for the probe"),
-    "probe.lr": (1.0, "probe learning rate"),
-    "probe.label_fraction": (1.0, "fraction of training points whose labels the probe sees"),
-    "probe.holdout": (0.25, "trailing fraction of scenes held out for evaluation"),
+# key -> (config class, field, help); each key takes its field's default and
+# the type of that default. "seed" also sets every other class's seed field.
+SETTINGS: dict[str, tuple] = {
+    "seed": (TrainConfig, "seed", "master seed for every stream (EPC_SEED env overrides)"),
+    "scene.clusters": (SyntheticSceneConfig, "num_clusters", "blobs per synthetic scene"),
+    "scene.points_per_cluster": (SyntheticSceneConfig, "points_per_cluster", "points per blob"),
+    "scene.cluster_std": (SyntheticSceneConfig, "cluster_std", "blob spatial std dev in meters"),
+    "scene.color_noise_std": (SyntheticSceneConfig, "color_noise_std",
+                              "per-point color noise std dev"),
+    "scene.extent": (SyntheticSceneConfig, "extent", "room edge length in meters"),
+    "augment.scale_min": (AugmentParams, "scale_min", "lower bound of the uniform scale draw"),
+    "augment.scale_max": (AugmentParams, "scale_max", "upper bound of the uniform scale draw"),
+    "augment.rot_axis": (AugmentParams, "rot_axis", "rotation axis: x, y, or z"),
+    "augment.rot_max": (AugmentParams, "rot_max", "max rotation angle in radians"),
+    "augment.jitter_sigma": (AugmentParams, "jitter_sigma",
+                             "per-coordinate jitter std dev in meters"),
+    "augment.jitter_clip": (AugmentParams, "jitter_clip", "jitter clipping bound in meters"),
+    "kmeans.segments": (KMeansConfig, "target_segments",
+                        "target superpoint segments per scene (clamped to N)"),
+    "kmeans.max_iters": (KMeansConfig, "max_iters", "Lloyd iteration cap"),
+    "kmeans.tol": (KMeansConfig, "tol", "centroid-shift stopping threshold"),
+    "kmeans.color_weight": (KMeansConfig, "color_weight",
+                            "color scale vs unit-box positions in clustering"),
+    "loss.tau": (LossConfig, "tau", "softmax temperature"),
+    "loss.lambda": (LossConfig, "lam", "channel-loss weight in the combined objective"),
+    "loss.normalize_rows": (LossConfig, "normalize_rows",
+                            "L2-normalize point embeddings before similarities"),
+    "loss.normalize_channels": (LossConfig, "normalize_channels",
+                                "L2-normalize channel maps before similarities"),
+    "loss.include_positive": (LossConfig, "include_positive_in_denominator",
+                              "count the positive pair in the denominator"),
+    "loss.reduction": (LossConfig, "reduction", "'mean' over positives or 'sum'"),
+    "loss.neg_samples": (LossConfig, "neg_sample_count",
+                         "negatives sampled per anchor for the point loss; 0 = all"),
+    "loss.symmetric_ag": (LossConfig, "symmetric_ag",
+                          "average both directions of the segment loss"),
+    "encoder.hidden": (TrainConfig, "hidden", "hidden width of the per-point MLP"),
+    "encoder.dim": (TrainConfig, "embed_dim", "embedding dimension C"),
+    "train.epochs": (TrainConfig, "epochs", "pre-training epochs"),
+    "train.batch_size": (TrainConfig, "batch_size", "scenes per optimizer step"),
+    "train.lr": (TrainConfig, "base_lr", "base learning rate"),
+    "train.schedule": (TrainConfig, "lr_schedule",
+                       "'cosine' or 'constant' learning-rate schedule"),
+    "train.beta1": (TrainConfig, "beta1", "first-moment decay"),
+    "train.beta2": (TrainConfig, "beta2", "second-moment decay"),
+    "train.eps": (TrainConfig, "adam_eps", "optimizer epsilon"),
+    "probe.steps": (ProbeConfig, "steps", "full-batch gradient-descent steps for the probe"),
+    "probe.lr": (ProbeConfig, "lr", "probe learning rate"),
+    "probe.label_fraction": (ProbeConfig, "label_fraction",
+                             "fraction of training points whose labels the probe sees"),
+    "probe.holdout": (ProbeConfig, "holdout_fraction",
+                      "trailing fraction of scenes held out for evaluation"),
 }
 
 
-def _parse_value(key: str, raw: str):
-    default = DEFAULTS[key][0]
+def _cli_default(cls, name):
+    default = next(f.default for f in fields(cls) if f.name == name)
+    # loss.neg_samples: 0 on the command line stands for the field's None
+    return 0 if default is None else default
+
+
+# key -> (default, help)
+DEFAULTS: dict[str, tuple] = {
+    key: (_cli_default(cls, name), text) for key, (cls, name, text) in SETTINGS.items()
+}
+
+
+def _parse_value(key: str, raw: str, where: str = ""):
+    if key not in DEFAULTS:
+        raise ConfigError(f"{where}unknown config key {key!r}")
+    kind = type(DEFAULTS[key][0])
     raw = raw.strip()
     try:
-        if isinstance(default, bool):
+        if kind is bool:
             low = raw.lower()
             if low in ("true", "yes", "1", "on"):
                 return True
             if low in ("false", "no", "0", "off"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        return raw
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
 class RunConfig:
-    """Resolved key/value settings with typed views onto the dataclasses."""
+    """Resolved key/value settings and the config dataclasses built from them."""
 
     def __init__(self, values: dict):
         self.values = values
@@ -119,8 +144,6 @@ class RunConfig:
                 raise ConfigError(f"--set expects key=value, got {item!r}")
             key, raw = item.split("=", 1)
             key = key.strip()
-            if key not in DEFAULTS:
-                raise ConfigError(f"unknown config key {key!r}")
             values[key] = _parse_value(key, raw)
         return cls(values)
 
@@ -136,92 +159,26 @@ class RunConfig:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, val = line.split("=", 1)
                 key = key.strip()
-                if key not in DEFAULTS:
-                    raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = _parse_value(key, val)
+                values[key] = _parse_value(key, val, f"{path}:{lineno}: ")
         return values
 
     def describe(self) -> list[str]:
         return [f"{k} = {self.values[k]}" for k in sorted(self.values)]
 
-    # typed views ---------------------------------------------------------
-
     @property
     def seed(self) -> int:
         return self.values["seed"]
 
-    def scene_config(self) -> SyntheticSceneConfig:
-        v = self.values
-        return SyntheticSceneConfig(
-            num_clusters=v["scene.clusters"],
-            points_per_cluster=v["scene.points_per_cluster"],
-            cluster_std=v["scene.cluster_std"],
-            color_noise_std=v["scene.color_noise_std"],
-            extent=v["scene.extent"],
-            seed=self.seed,
-        )
-
-    def augment_params(self) -> AugmentParams:
-        v = self.values
-        return AugmentParams(
-            scale_min=v["augment.scale_min"],
-            scale_max=v["augment.scale_max"],
-            rot_axis=v["augment.rot_axis"],
-            rot_max=v["augment.rot_max"],
-            jitter_sigma=v["augment.jitter_sigma"],
-            jitter_clip=v["augment.jitter_clip"],
-        )
-
-    def kmeans_config(self) -> KMeansConfig:
-        v = self.values
-        return KMeansConfig(
-            target_segments=v["kmeans.segments"],
-            max_iters=v["kmeans.max_iters"],
-            tol=v["kmeans.tol"],
-            color_weight=v["kmeans.color_weight"],
-            seed=self.seed,
-        )
-
-    def loss_config(self) -> LossConfig:
-        v = self.values
-        return LossConfig(
-            tau=v["loss.tau"],
-            lam=v["loss.lambda"],
-            normalize_rows=v["loss.normalize_rows"],
-            normalize_channels=v["loss.normalize_channels"],
-            include_positive_in_denominator=v["loss.include_positive"],
-            reduction=v["loss.reduction"],
-            neg_sample_count=v["loss.neg_samples"] or None,
-            symmetric_ag=v["loss.symmetric_ag"],
-        )
-
-    def train_config(self, loss_kind: str) -> TrainConfig:
-        v = self.values
-        return TrainConfig(
-            epochs=v["train.epochs"],
-            batch_size=v["train.batch_size"],
-            base_lr=v["train.lr"],
-            lr_schedule=v["train.schedule"],
-            beta1=v["train.beta1"],
-            beta2=v["train.beta2"],
-            adam_eps=v["train.eps"],
-            loss=self.loss_config(),
-            augment=self.augment_params(),
-            loss_kind=loss_kind,
-            hidden=v["encoder.hidden"],
-            embed_dim=v["encoder.dim"],
-            seed=self.seed,
-        )
-
-    def probe_config(self, label_fraction: float | None = None) -> ProbeConfig:
-        v = self.values
-        return ProbeConfig(
-            steps=v["probe.steps"],
-            lr=v["probe.lr"],
-            label_fraction=v["probe.label_fraction"] if label_fraction is None else label_fraction,
-            holdout_fraction=v["probe.holdout"],
-            seed=self.seed,
-        )
+    def build(self, cls, **given):
+        """A ``cls`` from the keys the table maps to it, with ``seed`` set when
+        ``cls`` has that field; ``given`` sets fields no key covers."""
+        kwargs = {name: self.values[key] for key, (owner, name, _) in SETTINGS.items()
+                  if owner is cls}
+        if any(f.name == "seed" for f in fields(cls)):
+            kwargs["seed"] = self.seed
+        if cls is LossConfig:
+            kwargs["neg_sample_count"] = kwargs["neg_sample_count"] or None
+        return cls(**kwargs, **given)
 
 
 def _print_config(cfg: RunConfig) -> None:
@@ -251,7 +208,7 @@ def _load_scene_dir(data_dir) -> list[PointCloud]:
 def _cmd_gen(args) -> int:
     cfg = RunConfig.resolve(args.config, args.set)
     _print_config(cfg)
-    scene_cfg = cfg.scene_config()
+    scene_cfg = cfg.build(SyntheticSceneConfig)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.scenes):
@@ -267,7 +224,7 @@ def _cmd_segment(args) -> int:
         cfg.values["kmeans.segments"] = args.segments
     _print_config(cfg)
     cloud = load_cloud(getattr(args, "in"))
-    kcfg = cfg.kmeans_config()
+    kcfg = cfg.build(KMeansConfig)
     if kcfg.target_segments > cloud.n:
         print(
             f"warning: {kcfg.target_segments} segments requested for {cloud.n} points; "
@@ -286,8 +243,9 @@ def _cmd_pretrain(args) -> int:
     cfg = RunConfig.resolve(args.config, args.set)
     _print_config(cfg)
     scenes = _load_scene_dir(args.data)
-    train_cfg = cfg.train_config(args.loss)
-    params, history = pretrain(scenes, train_cfg, cfg.kmeans_config())
+    train_cfg = cfg.build(TrainConfig, loss=cfg.build(LossConfig),
+                          augment=cfg.build(AugmentParams), loss_kind=args.loss)
+    params, history = pretrain(scenes, train_cfg, cfg.build(KMeansConfig))
     save_checkpoint(params, args.out)
     history_path = args.history or (str(args.out) + ".history.csv")
     with open(history_path, "w", encoding="utf-8") as fh:
@@ -302,10 +260,12 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_probe(args) -> int:
     cfg = RunConfig.resolve(args.config, args.set)
+    if args.label_fraction is not None:
+        cfg.values["probe.label_fraction"] = args.label_fraction
     _print_config(cfg)
     params = load_checkpoint(args.ckpt)
     scenes = _load_scene_dir(args.data)
-    acc = linear_probe(params, scenes, cfg.probe_config(args.label_fraction))
+    acc = linear_probe(params, scenes, cfg.build(ProbeConfig))
     print(f"{acc:.6f}")
     return 0
 

@@ -54,7 +54,12 @@ class BudgetError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A run configuration contains unknown keys or unparseable values."""
+    """A setting is unknown, unparseable, or outside its field's domain.
+
+    Raised for unknown keys and unparseable values in a run configuration,
+    and by the ``__post_init__`` checks of the config dataclasses (a
+    non-finite or out-of-range value, an unknown choice).
+    """
 
 
 class DomainError(ValueError):

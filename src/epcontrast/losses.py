@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyNegativeSetError, ShapeError
+from .errors import ConfigError, EmptyNegativeSetError, ShapeError
 from .numcore import (
     DEFAULT_EPS,
     _col_norms,
@@ -85,14 +85,14 @@ class LossConfig:
     symmetric_ag: bool = False
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be non-negative, got {self.lam}")
+        if not 0 < self.tau < math.inf:
+            raise ConfigError(f"tau must be finite and positive, got {self.tau}")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"lam must be finite and non-negative, got {self.lam}")
         if self.reduction not in ("sum", "mean"):
-            raise ValueError(f"reduction must be 'sum' or 'mean', got {self.reduction!r}")
+            raise ConfigError(f"reduction must be 'sum' or 'mean', got {self.reduction!r}")
         if self.neg_sample_count is not None and self.neg_sample_count < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"neg_sample_count must be >= 1 when set, got {self.neg_sample_count}"
             )
 

@@ -26,7 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ParseError, PayloadLengthError, RangeError, ShapeError
+from .errors import (
+    ConfigError,
+    FormatError,
+    ParseError,
+    PayloadLengthError,
+    RangeError,
+    ShapeError,
+)
 from .rng import substream
 
 _MAGIC = b"EPCC"
@@ -89,17 +96,18 @@ class AugmentParams:
     jitter_clip: float = 0.05
 
     def __post_init__(self):
-        if not 0 < self.scale_min <= self.scale_max:
-            raise ValueError(
-                f"need 0 < scale_min <= scale_max, got [{self.scale_min}, {self.scale_max}]"
+        if not 0 < self.scale_min <= self.scale_max < math.inf:
+            raise ConfigError(
+                f"need 0 < scale_min <= scale_max < inf, got [{self.scale_min}, {self.scale_max}]"
             )
         if self.rot_axis not in ("x", "y", "z"):
-            raise ValueError(f"rot_axis must be one of x/y/z, got {self.rot_axis!r}")
+            raise ConfigError(f"rot_axis must be one of x/y/z, got {self.rot_axis!r}")
         if not 0.0 <= self.rot_max <= 2.0 * np.pi:
-            raise ValueError(f"rot_max must lie in [0, 2*pi], got {self.rot_max}")
-        if not 0 <= self.jitter_sigma <= self.jitter_clip:
-            raise ValueError(
-                f"need 0 <= jitter_sigma <= jitter_clip, got sigma={self.jitter_sigma}, clip={self.jitter_clip}"
+            raise ConfigError(f"rot_max must lie in [0, 2*pi], got {self.rot_max}")
+        if not 0 <= self.jitter_sigma <= self.jitter_clip < math.inf:
+            raise ConfigError(
+                f"need 0 <= jitter_sigma <= jitter_clip < inf, "
+                f"got sigma={self.jitter_sigma}, clip={self.jitter_clip}"
             )
 
 

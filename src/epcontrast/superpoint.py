@@ -22,11 +22,12 @@ rounding of a boundary between two points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PartitionError, ShapeError
+from .errors import ConfigError, PartitionError, ShapeError
 from .numcore import _gemm_row_blocks
 from .pointcloud import PointCloud
 from .rng import substream
@@ -74,13 +75,13 @@ class KMeansConfig:
 
     def __post_init__(self):
         if self.target_segments < 1:
-            raise ValueError(f"target_segments must be >= 1, got {self.target_segments}")
+            raise ConfigError(f"target_segments must be >= 1, got {self.target_segments}")
         if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol < 0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
-        if self.color_weight < 0:
-            raise ValueError(f"color_weight must be >= 0, got {self.color_weight}")
+            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not 0 <= self.tol < math.inf:
+            raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
+        if not 0 <= self.color_weight < math.inf:
+            raise ConfigError(f"color_weight must be finite and >= 0, got {self.color_weight}")
 
 
 def segment_features(cloud: PointCloud, color_weight: float) -> np.ndarray:

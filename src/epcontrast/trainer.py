@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import INPUT_DIM, MlpParams, encoder_backward, encoder_forward, encoder_init
-from .errors import DivergenceError, RangeError, UnlabeledSceneError
+from .errors import ConfigError, DivergenceError, RangeError, UnlabeledSceneError
 from .losses import KINDS, LossConfig, contrast
 from .pointcloud import AugmentParams, PointCloud, make_view_pair
 from .rng import derive_seed, substream
@@ -58,22 +58,24 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.base_lr < math.inf:
-            raise ValueError(f"base_lr must be finite and >= 0, got {self.base_lr}")
+            raise ConfigError(f"base_lr must be finite and >= 0, got {self.base_lr}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if not 0.0 < self.adam_eps < math.inf:
-            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
+            raise ConfigError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         if self.lr_schedule not in ("constant", "cosine"):
-            raise ValueError(f"lr_schedule must be constant or cosine, got {self.lr_schedule!r}")
+            raise ConfigError(f"lr_schedule must be constant or cosine, got {self.lr_schedule!r}")
         if self.loss_kind not in KINDS:
-            raise ValueError(f"loss_kind must be one of {'/'.join(KINDS)}, got {self.loss_kind!r}")
+            raise ConfigError(
+                f"loss_kind must be one of {'/'.join(KINDS)}, got {self.loss_kind!r}"
+            )
         if min(self.hidden, self.embed_dim) < 1:
-            raise ValueError("hidden and embed_dim must be >= 1")
+            raise ConfigError("hidden and embed_dim must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -123,11 +125,12 @@ class SyntheticSceneConfig:
 
     def __post_init__(self):
         if self.num_clusters < 1 or self.points_per_cluster < 1:
-            raise ValueError("cluster counts must be >= 1")
-        if self.cluster_std < 0 or self.color_noise_std < 0:
-            raise ValueError("standard deviations must be >= 0")
-        if self.extent <= 0:
-            raise ValueError(f"room extent must be positive, got {self.extent}")
+            raise ConfigError("cluster counts must be >= 1")
+        for name in ("cluster_std", "color_noise_std"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0 < self.extent < math.inf:
+            raise ConfigError(f"extent must be finite and positive, got {self.extent}")
 
 
 def class_palette(num_classes: int) -> np.ndarray:
@@ -259,13 +262,13 @@ class ProbeConfig:
 
     def __post_init__(self):
         if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+            raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if not 0 < self.label_fraction <= 1:
-            raise ValueError(f"label_fraction must be in (0, 1], got {self.label_fraction}")
+            raise ConfigError(f"label_fraction must be in (0, 1], got {self.label_fraction}")
         if not 0 < self.holdout_fraction < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
             )
 

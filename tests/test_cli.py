@@ -3,15 +3,23 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import epcontrast
 from epcontrast import load_binary, load_checkpoint, losses
-from epcontrast.cli import DEFAULTS, RunConfig, cli_main
+from epcontrast.cli import DEFAULTS, SETTINGS, RunConfig, cli_main
 from epcontrast.errors import ConfigError
+from epcontrast.losses import LossConfig
+from epcontrast.pointcloud import AugmentParams
+from epcontrast.superpoint import KMeansConfig
+from epcontrast.trainer import ProbeConfig, SyntheticSceneConfig, TrainConfig
+
+CONFIG_CLASSES = (SyntheticSceneConfig, AugmentParams, KMeansConfig, LossConfig, TrainConfig,
+                  ProbeConfig)
+FLOAT_KEYS = sorted(k for k, (v, _) in DEFAULTS.items() if type(v) is float)
 
 
 def run(capsys, *argv):
@@ -47,6 +55,53 @@ class TestConfigResolution:
         assert cfg.values["loss.tau"] == 1.0
         assert cfg.values["loss.lambda"] == 0.1
         assert cfg.values["kmeans.segments"] == 2000
+
+
+class TestSettingsTable:
+    def test_every_key_default_is_its_fields_default(self):
+        cfg = RunConfig.resolve()
+        for cls in CONFIG_CLASSES:
+            assert cfg.build(cls) == cls()
+        # the one key whose CLI spelling differs: 0 stands for no sampling
+        assert DEFAULTS["loss.neg_samples"][0] == 0
+        assert cfg.build(LossConfig).neg_sample_count is None
+
+    def test_every_field_has_exactly_one_key(self):
+        covered = [(cls, name) for cls, name, _ in SETTINGS.values()]
+        assert len(covered) == len(set(covered)) == 37
+        settable = {
+            (cls, f.name) for cls in CONFIG_CLASSES for f in fields(cls)
+            if f.name not in ("seed", "loss", "augment", "loss_kind")
+        }
+        assert set(covered) - {(TrainConfig, "seed")} == settable
+
+    def test_seed_reaches_every_seeded_class(self):
+        cfg = RunConfig.resolve(sets=["seed=7"])
+        for cls in (SyntheticSceneConfig, KMeansConfig, TrainConfig, ProbeConfig):
+            assert cfg.build(cls).seed == 7
+
+    def test_printed_lines_read_back_to_the_same_values(self, capsys, tmp_path):
+        sets = ["loss.tau=0.07", "loss.neg_samples=31", "augment.rot_axis=x",
+                "loss.symmetric_ag=yes", "kmeans.tol=1e-06", "scene.points_per_cluster=4"]
+        argv = ["gen", "--out", str(tmp_path / "s"), "--scenes", "1"]
+        code, stdout, _ = run(capsys, *argv, *[a for s in sets for a in ("--set", s)])
+        assert code == 0
+        lines = [line[len("config: "):] for line in stdout.splitlines()
+                 if line.startswith("config: ")]
+        assert len(lines) == len(DEFAULTS)
+        path = tmp_path / "echo.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert RunConfig.resolve(path).values == RunConfig.resolve(sets=sets).values
+        code, again, _ = run(capsys, *argv, "--config", str(path))
+        assert code == 0 and again == stdout
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, key, raw):
+        cls, name, _ = SETTINGS[key]
+        cfg = RunConfig.resolve(sets=[f"{key}={raw}"])
+        with pytest.raises(ConfigError, match=name):
+            cfg.build(cls)
 
 
 class TestCommands:
@@ -110,9 +165,10 @@ class TestCommands:
         assert len(history) == 5
 
         code, stdout, _ = run(capsys, "probe", "--ckpt", str(ckpt),
-                              "--data", str(scene_dir), "--label-fraction", "1.0",
+                              "--data", str(scene_dir), "--label-fraction", "0.5",
                               "--set", "probe.steps=50")
         assert code == 0
+        assert "config: probe.label_fraction = 0.5" in stdout
         acc = float(stdout.strip().splitlines()[-1])
         assert 0.0 <= acc <= 1.0
 
@@ -131,6 +187,16 @@ class TestCommands:
                               "--budget-mb", "1", "--count-only")
         assert code == 1
         assert "accounted bytes" in stderr
+
+    def test_non_finite_tau_is_a_config_error(self, capsys, tmp_path):
+        scene_dir = tmp_path / "scenes"
+        run(capsys, "gen", "--out", str(scene_dir), "--scenes", "1",
+            "--set", "scene.points_per_cluster=8")
+        code, _, stderr = run(capsys, "pretrain", "--data", str(scene_dir),
+                              "--out", str(tmp_path / "x.epck"), "--set", "loss.tau=nan")
+        assert code == 1
+        assert "tau must be finite" in stderr
+        assert not (tmp_path / "x.epck").exists()
 
     def test_missing_scene_dir_is_runtime_error(self, capsys, tmp_path):
         code, _, stderr = run(capsys, "pretrain", "--data", str(tmp_path / "void"),
