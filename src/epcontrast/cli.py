@@ -12,7 +12,8 @@ dataclass (``SETTINGS``) and takes that field's default and value type;
 unknown keys are rejected. Precedence, lowest to highest: defaults, config
 file, the EPC_SEED environment variable (seed only), ``--set key=value``
 overrides, dedicated flags. Each run prints the fully resolved configuration
-before doing anything.
+and builds, and so validates, every config dataclass it uses before it
+reads any file.
 """
 
 from __future__ import annotations
@@ -223,8 +224,8 @@ def _cmd_segment(args) -> int:
     if args.segments is not None:
         cfg.values["kmeans.segments"] = args.segments
     _print_config(cfg)
-    cloud = load_cloud(getattr(args, "in"))
     kcfg = cfg.build(KMeansConfig)
+    cloud = load_cloud(getattr(args, "in"))
     if kcfg.target_segments > cloud.n:
         print(
             f"warning: {kcfg.target_segments} segments requested for {cloud.n} points; "
@@ -242,10 +243,11 @@ def _cmd_segment(args) -> int:
 def _cmd_pretrain(args) -> int:
     cfg = RunConfig.resolve(args.config, args.set)
     _print_config(cfg)
-    scenes = _load_scene_dir(args.data)
     train_cfg = cfg.build(TrainConfig, loss=cfg.build(LossConfig),
                           augment=cfg.build(AugmentParams), loss_kind=args.loss)
-    params, history = pretrain(scenes, train_cfg, cfg.build(KMeansConfig))
+    kcfg = cfg.build(KMeansConfig)
+    scenes = _load_scene_dir(args.data)
+    params, history = pretrain(scenes, train_cfg, kcfg)
     save_checkpoint(params, args.out)
     history_path = args.history or (str(args.out) + ".history.csv")
     with open(history_path, "w", encoding="utf-8") as fh:
@@ -263,9 +265,10 @@ def _cmd_probe(args) -> int:
     if args.label_fraction is not None:
         cfg.values["probe.label_fraction"] = args.label_fraction
     _print_config(cfg)
+    probe_cfg = cfg.build(ProbeConfig)
     params = load_checkpoint(args.ckpt)
     scenes = _load_scene_dir(args.data)
-    acc = linear_probe(params, scenes, cfg.build(ProbeConfig))
+    acc = linear_probe(params, scenes, probe_cfg)
     print(f"{acc:.6f}")
     return 0
 

@@ -10,6 +10,8 @@ Forward caches pre-activations so the backward pass is exact.
 Checkpoints use the EPCK layout: magic ``EPCK``, uint32-LE version (=1),
 uint32-LE layer count, then per layer fan_out and fan_in as uint32-LE
 followed by the float64-LE weight matrix (row-major) and bias vector.
+Loading rejects a checkpoint whose first layer does not take the
+``INPUT_DIM`` input features.
 """
 
 from __future__ import annotations
@@ -206,6 +208,11 @@ def load_checkpoint(path) -> MlpParams:
     if offset != len(blob):
         raise PayloadLengthError(
             f"{path}: {len(blob) - offset} trailing bytes after the last layer"
+        )
+    if layers and weights[0].shape[1] != INPUT_DIM:
+        raise ShapeError(
+            f"{path}: first layer takes {weights[0].shape[1]} inputs, "
+            f"the encoder feeds it {INPUT_DIM}"
         )
     try:
         return MlpParams(tuple(weights), tuple(biases))

@@ -48,12 +48,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyNegativeSetError, ShapeError
+from .errors import ConfigError, EmptyNegativeSetError, PartitionError, ShapeError
 from .numcore import (
     DEFAULT_EPS,
     _col_norms,
     _gemm_row_blocks,
     _row_blocks,
+    _segment_sums,
     _unit_rows,
     _unit_rows_backward,
     as_matrix,
@@ -121,6 +122,8 @@ def count_pairs(kind: str, n: int, m: int, c: int) -> tuple[int, int]:
     if kind == "pc":
         return n, n * n - n
     if kind == "ag":
+        if m > n:
+            raise PartitionError(f"cannot split {n} points into {m} segments: need m <= {n}")
         return n, n * (m - 1)
     if kind == "cc":
         return c, c * c - c
@@ -219,11 +222,7 @@ def _check_covers(seg: SegmentAssignment, f: np.ndarray) -> None:
 
 def _segment_mean(f, seg):
     """Per-segment means of a validated matrix whose rows ``seg`` covers."""
-    # one bincount per channel adds each segment's rows in index order
-    sums = np.empty((seg.num_segments, f.shape[1]))
-    for j in range(f.shape[1]):
-        sums[:, j] = np.bincount(seg.segment_of, f[:, j], minlength=seg.num_segments)
-    return sums / seg.sizes[:, None]
+    return _segment_sums(seg.segment_of, f, seg.num_segments) / seg.sizes[:, None]
 
 
 def segment_pool(f: np.ndarray, seg: SegmentAssignment) -> np.ndarray:
@@ -235,7 +234,7 @@ def segment_pool(f: np.ndarray, seg: SegmentAssignment) -> np.ndarray:
 
 def segment_pool_backward(grad_pooled: np.ndarray, seg: SegmentAssignment) -> np.ndarray:
     """Distribute each segment's gradient equally over its member points."""
-    return grad_pooled[seg.segment_of] / seg.sizes[seg.segment_of][:, None]
+    return (grad_pooled / seg.sizes[:, None])[seg.segment_of]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ and do not re-check them. The heavy lifting is delegated to numpy. The
 row-block budgets of the loss kernels and of the superpoint assignment
 live here, as does the eps-floored L2 normalization of rows, forward and
 backward, that the point and segment losses use; the channel loss takes
-only the eps-floored column norms.
+only the eps-floored column norms. :func:`_segment_sums` is the one
+per-segment sum, shared by segment pooling and the k-means centroid update.
 """
 
 from __future__ import annotations
@@ -94,6 +95,15 @@ def _unit_rows_backward(g: np.ndarray, hat: np.ndarray, d: np.ndarray) -> np.nda
     g -= hat
     g /= d[:, None]
     return g
+
+
+def _segment_sums(ids: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """(m, C) sums of the rows of the (N, C) ``x`` per id in [0, m); one
+    bincount per column adds each segment's rows in index order."""
+    sums = np.empty((m, x.shape[1]))
+    for j in range(x.shape[1]):
+        sums[:, j] = np.bincount(ids, x[:, j], minlength=m)
+    return sums
 
 
 def row_l2_normalize(m: np.ndarray) -> np.ndarray:

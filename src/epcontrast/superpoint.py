@@ -4,7 +4,8 @@ Points are clustered with Lloyd's algorithm (k-means++ seeding) on a
 6-dimensional feature: positions min-max normalized per axis to [0, 1]
 concatenated with colors scaled by a configurable weight. The result is
 always a partition — disjoint, covering, with no empty segment — because
-segment pooling divides by segment sizes downstream.
+segment pooling divides by segment sizes downstream. The ids come out
+compact, every id in [0, M) used: repair leaves no cluster empty.
 
 The assignment step scores points against centroids with one GEMM per
 row block, against the features extended by a ones column so that the
@@ -23,22 +24,23 @@ rounding of a boundary between two points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, PartitionError, ShapeError
-from .numcore import _gemm_row_blocks
+from .numcore import _gemm_row_blocks, _segment_sums
 from .pointcloud import PointCloud
 from .rng import substream
 
 
 @dataclass(frozen=True)
 class SegmentAssignment:
-    """Partition of point indices into ``num_segments`` segments."""
+    """Partition of point indices into ``num_segments`` segments of ``sizes`` points."""
 
     segment_of: np.ndarray
     num_segments: int
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seg = np.ascontiguousarray(self.segment_of, dtype=np.int64)
@@ -53,16 +55,13 @@ class SegmentAssignment:
             raise PartitionError(
                 f"segment ids must lie in [0, {m}), got range [{seg.min()}, {seg.max()}]"
             )
-        used = np.bincount(seg, minlength=m)
-        if np.any(used == 0):
-            empty = int(np.flatnonzero(used == 0)[0])
+        sizes = np.bincount(seg, minlength=m)
+        if np.any(sizes == 0):
+            empty = int(np.flatnonzero(sizes == 0)[0])
             raise PartitionError(f"segment {empty} of {m} is empty")
         object.__setattr__(self, "segment_of", seg)
         object.__setattr__(self, "num_segments", m)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.segment_of, minlength=self.num_segments)
+        object.__setattr__(self, "sizes", sizes)
 
 
 @dataclass(frozen=True)
@@ -92,14 +91,8 @@ def segment_features(cloud: PointCloud, color_weight: float) -> np.ndarray:
     """
     pos = cloud.positions
     lo = pos.min(axis=0)
-    hi = pos.max(axis=0)
-    span = hi - lo
-    normed = np.empty_like(pos)
-    for axis in range(3):
-        if span[axis] == 0.0:
-            normed[:, axis] = 0.5
-        else:
-            normed[:, axis] = (pos[:, axis] - lo[axis]) / span[axis]
+    span = pos.max(axis=0) - lo
+    normed = np.divide(pos - lo, span, out=np.full_like(pos, 0.5), where=span != 0.0)
     return np.hstack([normed, cloud.colors * color_weight])
 
 
@@ -200,29 +193,27 @@ def _assign(xa: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> None:
         np.argmin(s, axis=1, out=labels[b])
 
 
-def _repair_empty(labels: np.ndarray, features: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Give each empty cluster the point farthest from its current centroid.
+def _repair_empty(labels: np.ndarray, counts: np.ndarray, features: np.ndarray,
+                  centers: np.ndarray) -> None:
+    """Give each empty cluster the point farthest from its current centroid,
+    updating ``labels`` and their per-cluster ``counts`` in place.
 
     Donor clusters must keep at least one member, so the partition invariant
     survives; moving the worst-placed point can only lower the objective.
+    With no more clusters than points, an empty cluster means another holds
+    two or more, so a donor always exists and no cluster stays empty.
     """
-    m = centers.shape[0]
-    counts = np.bincount(labels, minlength=m)
     if not np.any(counts == 0):
-        return labels
-    labels = labels.copy()
+        return
     dist_to_own = np.sum((features - centers[labels]) ** 2, axis=1)
     for empty in np.flatnonzero(counts == 0):
         donors = counts[labels] > 1
-        if not np.any(donors):
-            break
         candidates = np.where(donors, dist_to_own, -np.inf)
         thief = int(np.argmax(candidates))
         counts[labels[thief]] -= 1
         labels[thief] = empty
         counts[empty] += 1
         dist_to_own[thief] = 0.0
-    return labels
 
 
 def lloyd_kmeans(
@@ -253,12 +244,10 @@ def lloyd_kmeans(
     history: list[float] = []
     for _ in range(max_iters):
         _assign(xa, centers, labels)
-        labels = _repair_empty(labels, features, centers)
-        # one bincount per column adds each cluster's rows in index order
-        new_centers = np.empty_like(centers)
-        for j in range(dim):
-            new_centers[:, j] = np.bincount(labels, features[:, j], minlength=m)
-        new_centers /= np.bincount(labels, minlength=m)[:, None]
+        counts = np.bincount(labels, minlength=m)
+        _repair_empty(labels, counts, features, centers)
+        new_centers = _segment_sums(labels, features, m)
+        new_centers /= counts[:, None]
         shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
         centers = new_centers
         history.append(float(np.sum((features - centers[labels]) ** 2)))
@@ -279,9 +268,7 @@ def kmeans_segments_with_history(
     features = segment_features(cloud, cfg.color_weight)
     rng = substream(cfg.seed, 0)
     labels, _, history = lloyd_kmeans(features, m, cfg.max_iters, cfg.tol, rng)
-    # compact ids so every id in [0, m_used) is occupied
-    used, compact = np.unique(labels, return_inverse=True)
-    return SegmentAssignment(compact.astype(np.int64), int(used.size)), history
+    return SegmentAssignment(labels, m), history
 
 
 def kmeans_segments(cloud: PointCloud, cfg: KMeansConfig) -> SegmentAssignment:

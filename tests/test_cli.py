@@ -198,6 +198,22 @@ class TestCommands:
         assert "tau must be finite" in stderr
         assert not (tmp_path / "x.epck").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        ("segment --in {t}/none.epcc --out {t}/seg.txt --set kmeans.tol=nan", "error: tol must"),
+        ("pretrain --data {t}/none --out {t}/x.epck --set loss.tau=nan", "error: tau must"),
+        ("probe --ckpt {t}/none.epck --data {t}/none --set probe.lr=inf", "error: lr must"),
+    ])
+    def test_config_is_checked_before_any_file_is_read(self, capsys, tmp_path, argv, message):
+        code, _, stderr = run(capsys, *argv.format(t=tmp_path).split())
+        assert code == 1
+        assert message in stderr
+
+    def test_bench_rejects_more_segments_than_points(self, capsys):
+        code, _, stderr = run(capsys, "bench", "--kind", "ag", "--sizes", "16", "--m", "32",
+                              "--count-only")
+        assert code == 1
+        assert "cannot split 16 points into 32 segments" in stderr
+
     def test_missing_scene_dir_is_runtime_error(self, capsys, tmp_path):
         code, _, stderr = run(capsys, "pretrain", "--data", str(tmp_path / "void"),
                               "--out", str(tmp_path / "x.epck"))

@@ -17,7 +17,7 @@ from epcontrast import (
     save_checkpoint,
 )
 from epcontrast.encoder import encoder_features
-from epcontrast.errors import CacheError, FormatError, PayloadLengthError, RangeError
+from epcontrast.errors import CacheError, FormatError, PayloadLengthError, RangeError, ShapeError
 from epcontrast.selfcheck import central_diff, rel_err
 
 
@@ -207,6 +207,12 @@ class TestCheckpoint:
         struct.pack_into("<d", blob, 12 + 8, float("nan"))  # layer 0, W[0, 0]
         path.write_bytes(bytes(blob))
         with pytest.raises(RangeError, match=r"nan\.epck: parameters contain non-finite"):
+            load_checkpoint(path)
+
+    def test_first_layer_must_take_the_encoder_input(self, tmp_path):
+        path = tmp_path / "narrow.epck"
+        save_checkpoint(encoder_init(4, 8, 3, seed=0), path)
+        with pytest.raises(ShapeError, match=r"narrow\.epck: first layer takes 4 inputs"):
             load_checkpoint(path)
 
     def test_four_layer_checkpoint_embeds_with_exact_gradients(self, tmp_path):

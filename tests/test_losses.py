@@ -25,7 +25,7 @@ from epcontrast import (
 )
 from epcontrast import losses, numcore
 from epcontrast.bench import accounted_bytes
-from epcontrast.errors import EmptyNegativeSetError, RangeError, ShapeError
+from epcontrast.errors import EmptyNegativeSetError, PartitionError, RangeError, ShapeError
 from epcontrast.losses import KINDS, PAIR_KINDS, _NO_SHIFT_LIMIT, _sample_negatives, _softmax_rows
 from epcontrast.numcore import _row_blocks, _unit_rows, _unit_rows_backward
 from epcontrast.rng import substream
@@ -554,6 +554,11 @@ class TestPairCounting:
         assert count_pairs("pc", 100, 1, 1) == (100, 9900)
         assert count_pairs("ag", 100, 10, 1) == (100, 900)
         assert count_pairs("cc", 1, 1, 32) == (32, 992)
+
+    def test_segment_pairs_need_a_possible_partition(self):
+        assert count_pairs("ag", 16, 16, 1) == (16, 240)
+        with pytest.raises(PartitionError, match="cannot split 16 points into 17 segments"):
+            count_pairs("ag", 16, 17, 1)
 
     @pytest.mark.parametrize("kind", ["pc", "ag", "cc"])
     def test_oracle_counter_matches_count_pairs(self, kind):

@@ -11,7 +11,7 @@ from epcontrast import (
     kmeans_segments_with_history,
     segment_features,
 )
-from epcontrast import numcore
+from epcontrast import numcore, superpoint
 from epcontrast.errors import PartitionError
 from epcontrast.rng import substream
 from epcontrast.superpoint import _assign, _kmeans_pp_init, _sq_dists_to, lloyd_kmeans
@@ -42,6 +42,12 @@ class TestSegmentAssignment:
         with pytest.raises(PartitionError):
             SegmentAssignment(np.array([0, 3]), 2)
 
+    def test_sizes_are_the_bincount_of_the_ids(self):
+        ids = np.concatenate([np.arange(7), substream(840, 0).integers(0, 7, size=50)])
+        seg = SegmentAssignment(ids, 7)
+        np.testing.assert_array_equal(seg.sizes, np.bincount(seg.segment_of))
+        assert seg.sizes is seg.sizes  # counted once, not on each access
+
 
 class TestSegmentFeatures:
     def test_min_max_endpoints(self):
@@ -62,6 +68,18 @@ class TestSegmentFeatures:
         cloud = PointCloud(np.array([[3.0, -1.0, 2.0]]), np.array([[0.2, 0.4, 0.6]]))
         feats = segment_features(cloud, 1.0)
         np.testing.assert_array_equal(feats[0, :3], [0.5, 0.5, 0.5])
+
+    @pytest.mark.parametrize("flat", [0, 1, 2])
+    def test_one_flat_axis_maps_to_half(self, flat):
+        rng = substream(841, flat)
+        pos = rng.normal(size=(30, 3)) * 3.0
+        pos[:, flat] = -1.25
+        feats = segment_features(PointCloud(pos, rng.uniform(0, 1, (30, 3))), 1.0)
+        np.testing.assert_array_equal(feats[:, flat], 0.5)
+        lo, span = pos.min(axis=0), pos.max(axis=0) - pos.min(axis=0)
+        for axis in {0, 1, 2} - {flat}:
+            expect = (pos[:, axis] - lo[axis]) / span[axis]
+            assert feats[:, axis].tobytes() == expect.tobytes()
 
 
 class TestKMeansSegments:
@@ -101,6 +119,31 @@ class TestKMeansSegments:
             labels = seg.segment_of
             agreement = max(np.mean(labels == truth), np.mean(labels == 1 - truth))
             assert agreement == 1.0, f"seed {seed}: {agreement}"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_points_leave_no_id_unused(self, seed, monkeypatch):
+        """Five distinct points repeated eight times, split 12 ways: k-means++
+        runs out of weight and picks duplicate centers, the assignment
+        leaves clusters empty, and the repair must fill every one."""
+        rng = substream(842, seed)
+        base = random_scene(rng, 5)
+        cloud = PointCloud(np.tile(base.positions, (8, 1)), np.tile(base.colors, (8, 1)))
+        cfg = KMeansConfig(target_segments=12, max_iters=6, seed=seed)
+        repaired = []
+        real = superpoint._repair_empty
+
+        def spy(labels, counts, features, centers):
+            repaired.append(bool(np.any(counts == 0)))
+            real(labels, counts, features, centers)
+
+        monkeypatch.setattr(superpoint, "_repair_empty", spy)
+        labels, _, _ = lloyd_kmeans(segment_features(cloud, cfg.color_weight), 12,
+                                    cfg.max_iters, cfg.tol, substream(cfg.seed, 0))
+        assert any(repaired)
+        np.testing.assert_array_equal(np.unique(labels), np.arange(12))
+        seg, _ = kmeans_segments_with_history(cloud, cfg)
+        assert seg.num_segments == 12
+        np.testing.assert_array_equal(seg.segment_of, labels)
 
     def test_deterministic_under_fixed_seed(self):
         rng = np.random.default_rng(5)
