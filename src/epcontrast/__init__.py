@@ -28,10 +28,8 @@ from .losses import (
     count_pairs,
     ep_contrast,
     point_infonce,
-    segment_pool,
     segment_pool_backward,
 )
-from .numcore import row_l2_normalize
 from .pointcloud import (
     AugmentParams,
     PointCloud,
@@ -103,11 +101,9 @@ __all__ = [
     "make_view_pair",
     "point_infonce",
     "pretrain",
-    "row_l2_normalize",
     "save_ascii",
     "save_binary",
     "save_checkpoint",
     "segment_features",
-    "segment_pool",
     "segment_pool_backward",
 ]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .losses import PAIR_KINDS, LossConfig, contrast, count_pairs
+from .losses import KINDS, LossConfig, _lookup, contrast, count_pairs
 from .rng import substream
 from .superpoint import SegmentAssignment
 
@@ -123,7 +123,7 @@ def _balanced_segments(n: int, m: int) -> SegmentAssignment:
 def _run_once(kind: str, n: int, m: int, c: int, rng: np.random.Generator) -> float:
     f1 = rng.normal(size=(n, c))
     f2 = rng.normal(size=(n, c))
-    seg = _balanced_segments(n, m) if kind == "ag" else None
+    seg = _balanced_segments(n, m) if KINDS[kind].segmented else None
     start = time.perf_counter()
     contrast(kind, f1, f2, seg, LossConfig(reduction="mean"))
     return time.perf_counter() - start
@@ -146,8 +146,7 @@ def bench_loss(
     False). A configuration whose accounted bytes exceed ``byte_budget``
     raises :class:`BudgetError` naming the offending size.
     """
-    if kind not in PAIR_KINDS:
-        raise ValueError(f"bench kind must be {'/'.join(PAIR_KINDS)}, got {kind!r}")
+    _lookup(kind, pairs=True)
     if not sizes or list(sizes) != sorted(sizes):
         raise ValueError("sizes must be a non-empty ascending list")
     if repeats < 3:

@@ -69,10 +69,6 @@ class MlpParams:
         if not all(np.isfinite(a).all() for a in self.weights + self.biases):
             raise RangeError("parameters contain non-finite entries")
 
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
-
     def map(self, fn) -> "MlpParams":
         """New container with ``fn`` applied to every array; ``fn`` keeps
         each array's shape, and the result is not re-validated."""

@@ -35,20 +35,24 @@ gradient products they take next, so a full score block is written by
 one GEMM, read and written by one exp, read by one row sum and read by
 the two gradient GEMMs.
 
-Every loss has a brute-force twin (:func:`brute_force_loss`) that walks
-the pair sets with plain Python loops and no shared code path, both
-directions of a symmetric segment loss included; the sweeps in
+One table, :data:`KINDS`, holds what differs between the loss kinds: the
+evaluator, the loop oracle, the pair formula and whether a segment
+assignment is read. Every loss has a brute-force twin
+(:func:`brute_force_loss`) sharing no code path with the evaluators: each
+pair scheme prepares its rows and walks them with one plain-Python anchor
+loop, both directions of a symmetric segment loss included; the sweeps in
 :mod:`epcontrast.selfcheck` pit the two against each other.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyNegativeSetError, PartitionError, ShapeError
+from .errors import ConfigError, EmptyNegativeSetError, PartitionError, RangeError, ShapeError
 from .numcore import (
     DEFAULT_EPS,
     _col_norms,
@@ -60,10 +64,6 @@ from .numcore import (
     as_matrix,
 )
 from .superpoint import SegmentAssignment
-
-KINDS = ("pc", "ag", "cc", "ep")
-# every kind but the combined "ep" scores one pair scheme (see count_pairs)
-PAIR_KINDS = KINDS[:-1]
 
 
 @dataclass(frozen=True)
@@ -115,19 +115,29 @@ class EvalCounter:
         self.count += k
 
 
+def _lookup(kind: str, seg: SegmentAssignment | None = None, *, pairs: bool = False) -> LossKind:
+    """The :data:`KINDS` entry of ``kind``; ConfigError if it is unknown,
+    has no pair formula when ``pairs`` is set, or else misses its ``seg``."""
+    names = PAIR_KINDS if pairs else KINDS
+    if kind not in names:
+        what = "pair scheme" if pairs else "loss kind"
+        raise ConfigError(f"unknown {what} {kind!r}; expected one of {'/'.join(names)}")
+    spec = KINDS[kind]
+    if not pairs and spec.segmented and seg is None:
+        raise ConfigError(f"loss kind {kind!r} needs a segment assignment")
+    return spec
+
+
 def count_pairs(kind: str, n: int, m: int, c: int) -> tuple[int, int]:
-    """(positive, negative) pair counts for a scheme at the given sizes."""
+    """(positive, negative) pair counts of a scheme in :data:`PAIR_KINDS`
+    at the given sizes; ``m`` matters to segmented schemes only, which
+    cannot split n points into more than n segments."""
+    spec = _lookup(kind, pairs=True)
     if min(n, m, c) < 1:
-        raise ValueError(f"sizes must be >= 1, got n={n}, m={m}, c={c}")
-    if kind == "pc":
-        return n, n * n - n
-    if kind == "ag":
-        if m > n:
-            raise PartitionError(f"cannot split {n} points into {m} segments: need m <= {n}")
-        return n, n * (m - 1)
-    if kind == "cc":
-        return c, c * c - c
-    raise ValueError(f"unknown pair scheme {kind!r}")
+        raise RangeError(f"sizes must be >= 1, got n={n}, m={m}, c={c}")
+    if spec.segmented and m > n:
+        raise PartitionError(f"cannot split {n} points into {m} segments: need m <= {n}")
+    return spec.pairs(n, m, c)
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +233,6 @@ def _check_covers(seg: SegmentAssignment, f: np.ndarray) -> None:
 def _segment_mean(f, seg):
     """Per-segment means of a validated matrix whose rows ``seg`` covers."""
     return _segment_sums(seg.segment_of, f, seg.num_segments) / seg.sizes[:, None]
-
-
-def segment_pool(f: np.ndarray, seg: SegmentAssignment) -> np.ndarray:
-    """M x C matrix of per-segment mean embeddings."""
-    f = as_matrix(f, "embedding")
-    _check_covers(seg, f)
-    return _segment_mean(f, seg)
 
 
 def segment_pool_backward(grad_pooled: np.ndarray, seg: SegmentAssignment) -> np.ndarray:
@@ -524,21 +527,12 @@ def contrast(
 ) -> LossOutput:
     """Evaluate the loss named by ``kind``, one of :data:`KINDS`.
 
-    ``seg`` is read by "ag" and "ep", ``rng`` only by sampled "pc". Each
-    loss function is looked up by its module-level name on every call, so
-    a wrapper installed on that name sees the call.
+    ``seg`` is read by the segmented kinds ("ag" and "ep"), ``rng`` only by
+    sampled "pc". The table looks each loss function up by its
+    module-level name on every call, so a wrapper installed on that name
+    sees the call.
     """
-    if kind == "pc":
-        return point_infonce(f1, f2, cfg, rng)
-    if kind == "cc":
-        return channel_contrast(f1, f2, cfg)
-    if kind not in KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}")
-    if seg is None:
-        raise ValueError(f"loss kind {kind!r} needs a segment assignment")
-    if kind == "ag":
-        return ag_contrast(f1, f2, seg, cfg)
-    return ep_contrast(f1, f2, seg, cfg)
+    return _lookup(kind, seg).evaluate(f1, f2, seg, cfg, rng)
 
 
 def channel_abs_cosine_mean(f: np.ndarray) -> float:
@@ -573,94 +567,71 @@ def _bf_dot(a, b, counter):
 def _bf_row_normalize(rows):
     out = []
     for row in rows:
-        sq = 0.0
-        for v in row:
-            sq += v * v
-        norm = math.sqrt(sq)
+        norm = math.sqrt(_bf_dot(row, row, None))
         d = norm if norm > DEFAULT_EPS else DEFAULT_EPS
         out.append([v / d for v in row])
     return out
 
 
-def _bf_pc(f1, f2, cfg, counter):
-    n = len(f1)
-    if n < 2:
-        raise EmptyNegativeSetError("point loss needs N >= 2 for a negative set")
-    if cfg.normalize_rows:
-        f1 = _bf_row_normalize(f1)
-        f2 = _bf_row_normalize(f2)
+def _bf_rows(queries, keys, pos_of, cfg, counter, abs_negatives):
+    """The loss of each query against every key, key ``pos_of[i]`` being
+    query i's positive and each other key a negative, scored by its
+    absolute similarity when ``abs_negatives`` is set."""
+    if len(keys) < 2:
+        raise EmptyNegativeSetError(f"{len(keys)} key(s) leave no negative set")
     total = 0.0
-    for i in range(n):
-        pos = _bf_dot(f1[i], f2[i], counter) / cfg.tau
+    for q, own in zip(queries, pos_of):
+        pos = _bf_dot(q, keys[own], counter) / cfg.tau
         den = 0.0
-        for j in range(n):
-            if j == i:
+        for j, k in enumerate(keys):
+            if j == own:
                 continue
-            den += math.exp(_bf_dot(f1[i], f2[j], counter) / cfg.tau)
+            s = _bf_dot(q, k, counter)
+            den += math.exp((abs(s) if abs_negatives else s) / cfg.tau)
         if cfg.include_positive_in_denominator:
             den += math.exp(pos)
         total += math.log(den) - pos
-    return total / n if cfg.reduction == "mean" else total
+    return total / len(queries) if cfg.reduction == "mean" else total
+
+
+def _bf_pc(f1, f2, seg, cfg, counter):
+    if cfg.normalize_rows:
+        f1, f2 = _bf_row_normalize(f1), _bf_row_normalize(f2)
+    return _bf_rows(f1, f2, range(len(f1)), cfg, counter, False)
 
 
 def _bf_ag(f1, f2, seg, cfg, counter):
-    n = len(f1)
-    m = seg.num_segments
-    if m < 2:
-        raise EmptyNegativeSetError(
-            "segment loss needs M >= 2 so every point has a negative segment"
-        )
-    members: list[list[int]] = [[] for _ in range(m)]
-    for i, alpha in enumerate(seg.segment_of):
-        members[int(alpha)].append(i)
-    c = len(f2[0])
-    pooled = []
-    for alpha in range(m):
-        row = [0.0] * c
-        for i in members[alpha]:
-            for k in range(c):
-                row[k] += f2[i][k]
-        pooled.append([v / len(members[alpha]) for v in row])
-    if cfg.normalize_rows:
-        f1 = _bf_row_normalize(f1)
-        pooled = _bf_row_normalize(pooled)
-    total = 0.0
-    for i in range(n):
-        own = int(seg.segment_of[i])
-        pos = _bf_dot(f1[i], pooled[own], counter) / cfg.tau
-        den = 0.0
-        for beta in range(m):
-            if beta == own:
-                continue
-            den += math.exp(_bf_dot(f1[i], pooled[beta], counter) / cfg.tau)
-        if cfg.include_positive_in_denominator:
-            den += math.exp(pos)
-        total += math.log(den) - pos
-    return total / n if cfg.reduction == "mean" else total
+    ids = seg.segment_of.tolist()
+    members: list[list[int]] = [[] for _ in range(seg.num_segments)]
+    for i, alpha in enumerate(ids):
+        members[alpha].append(i)
+
+    def one_way(fq, fk):
+        pooled = []
+        for rows in members:
+            row = [0.0] * len(fk[0])
+            for i in rows:
+                for k, v in enumerate(fk[i]):
+                    row[k] += v
+            pooled.append([v / len(rows) for v in row])
+        if cfg.normalize_rows:
+            fq, pooled = _bf_row_normalize(fq), _bf_row_normalize(pooled)
+        return _bf_rows(fq, pooled, ids, cfg, counter, False)
+
+    value = one_way(f1, f2)
+    return 0.5 * (value + one_way(f2, f1)) if cfg.symmetric_ag else value
 
 
-def _bf_cc(f1, f2, cfg, counter):
-    n = len(f1)
-    c = len(f1[0])
-    if c < 2:
-        raise EmptyNegativeSetError("channel loss needs C >= 2 for a negative set")
-    cols1 = [[f1[i][k] for i in range(n)] for k in range(c)]
-    cols2 = [[f2[i][k] for i in range(n)] for k in range(c)]
+def _bf_cc(f1, f2, seg, cfg, counter):
+    cols1, cols2 = [list(col) for col in zip(*f1)], [list(col) for col in zip(*f2)]
     if cfg.normalize_channels:
-        cols1 = _bf_row_normalize(cols1)
-        cols2 = _bf_row_normalize(cols2)
-    total = 0.0
-    for i in range(c):
-        pos = _bf_dot(cols1[i], cols2[i], counter) / cfg.tau
-        den = 0.0
-        for j in range(c):
-            if j == i:
-                continue
-            den += math.exp(abs(_bf_dot(cols1[i], cols2[j], counter)) / cfg.tau)
-        if cfg.include_positive_in_denominator:
-            den += math.exp(pos)
-        total += math.log(den) - pos
-    return total / c if cfg.reduction == "mean" else total
+        cols1, cols2 = _bf_row_normalize(cols1), _bf_row_normalize(cols2)
+    return _bf_rows(cols1, cols2, range(len(cols1)), cfg, counter, True)
+
+
+def _bf_ep(f1, f2, seg, cfg, counter):
+    ag = _bf_ag(f1, f2, seg, cfg, counter)
+    return ag if cfg.lam == 0.0 else ag + cfg.lam * _bf_cc(f1, f2, seg, cfg, counter)
 
 
 def brute_force_loss(
@@ -673,30 +644,49 @@ def brute_force_loss(
 ) -> float:
     """Reference value for a loss, computed with explicit pair loops.
 
-    Sampling is never applied. With ``cfg.symmetric_ag`` the segment term
-    of "ag" and "ep" is the mean of the two directions, each walked by its
-    own loop. ``counter`` (if given) tallies one bump per similarity
+    The views and the segment assignment are checked as the evaluators
+    check them. Sampling is never applied. With ``cfg.symmetric_ag`` the
+    segment term of "ag" and "ep" is the mean of the two directions, each
+    walked by its own loop, and "ep" walks no channel pair when ``cfg.lam``
+    is 0. ``counter`` (if given) tallies one bump per similarity
     evaluation, matching :func:`count_pairs` per direction walked (so twice
     its "ag" count for a symmetric segment term). Inputs are capped at
-    oracle scale (N <= 256, C <= 64, M <= 64).
+    oracle scale (N <= 256, C <= 64, and M <= 64 for a segmented kind).
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}")
-    f1 = as_matrix(f1, "f1")
-    if f1.shape[0] > 256 or f1.shape[1] > 64 or (seg is not None and seg.num_segments > 64):
-        raise ValueError(
-            f"oracle scale is N <= 256, C <= 64, M <= 64; got N={f1.shape[0]}, "
-            f"C={f1.shape[1]}, M={seg.num_segments if seg else 1}"
-        )
-    a = f1.tolist()
-    b = as_matrix(f2, "f2").tolist()
-    if kind == "pc":
-        return _bf_pc(a, b, cfg, counter)
-    if kind == "cc":
-        return _bf_cc(a, b, cfg, counter)
-    if seg is None:
-        raise ValueError(f"loss kind {kind!r} needs a segment assignment")
-    ag = _bf_ag(a, b, seg, cfg, counter)
-    if cfg.symmetric_ag:
-        ag = 0.5 * (ag + _bf_ag(b, a, seg, cfg, counter))
-    return ag if kind == "ag" else ag + cfg.lam * _bf_cc(a, b, cfg, counter)
+    spec = _lookup(kind, seg)
+    f1, f2 = _view_pair(f1, f2)
+    if spec.segmented:
+        _check_covers(seg, f1)
+    n, c = f1.shape
+    m = seg.num_segments if spec.segmented else 1
+    if n > 256 or c > 64 or m > 64:
+        raise RangeError(f"oracle scale is N <= 256, C <= 64, M <= 64; got N={n}, C={c}, M={m}")
+    return spec.oracle(f1.tolist(), f2.tolist(), seg, cfg, counter)
+
+
+@dataclass(frozen=True)
+class LossKind:
+    """One entry of :data:`KINDS`: ``evaluate(f1, f2, seg, cfg, rng)``, the
+    ``oracle(f1, f2, seg, cfg, counter)`` on lists of rows, ``pairs(n, m,
+    c)`` -> (positives, negatives) or None for the combined "ep", and
+    whether the kind reads a segment assignment."""
+
+    evaluate: Callable[..., LossOutput]
+    oracle: Callable[..., float]
+    pairs: Callable[[int, int, int], tuple[int, int]] | None
+    segmented: bool
+
+
+# The evaluators are lambdas so that each call looks the loss function up
+# by its module-level name: a wrapper installed on that name sees it.
+KINDS = {
+    "pc": LossKind(lambda f1, f2, seg, cfg, rng: point_infonce(f1, f2, cfg, rng),
+                   _bf_pc, lambda n, m, c: (n, n * n - n), segmented=False),
+    "ag": LossKind(lambda f1, f2, seg, cfg, rng: ag_contrast(f1, f2, seg, cfg),
+                   _bf_ag, lambda n, m, c: (n, n * (m - 1)), segmented=True),
+    "cc": LossKind(lambda f1, f2, seg, cfg, rng: channel_contrast(f1, f2, cfg),
+                   _bf_cc, lambda n, m, c: (c, c * c - c), segmented=False),
+    "ep": LossKind(lambda f1, f2, seg, cfg, rng: ep_contrast(f1, f2, seg, cfg),
+                   _bf_ep, None, segmented=True),
+}
+PAIR_KINDS = tuple(name for name, spec in KINDS.items() if spec.pairs is not None)

@@ -104,8 +104,3 @@ def _segment_sums(ids: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     for j in range(x.shape[1]):
         sums[:, j] = np.bincount(ids, x[:, j], minlength=m)
     return sums
-
-
-def row_l2_normalize(m: np.ndarray) -> np.ndarray:
-    """Divide each row by max(‖row‖₂, eps); zero rows stay zero."""
-    return _unit_rows(m)[0]

@@ -251,6 +251,8 @@ def save_ascii(cloud: PointCloud, path) -> None:
 def save_binary(cloud: PointCloud, path) -> None:
     """Write a cloud in the EPCC binary layout (float32 payload)."""
     has_labels = cloud.labels is not None
+    if has_labels and cloud.labels.max() >= 1 << 32:
+        raise RangeError(f"{path}: label {cloud.labels.max()} does not fit EPCC's uint32 labels")
     payload = np.empty((cloud.n, 6), dtype="<f4")
     payload[:, :3] = cloud.positions
     payload[:, 3:] = cloud.colors

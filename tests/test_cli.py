@@ -10,7 +10,7 @@ import pytest
 
 import epcontrast
 from epcontrast import load_binary, load_checkpoint, losses
-from epcontrast.cli import DEFAULTS, SETTINGS, RunConfig, cli_main
+from epcontrast.cli import DEFAULTS, SETTINGS, RunConfig, _build_parser, cli_main
 from epcontrast.errors import ConfigError
 from epcontrast.losses import LossConfig
 from epcontrast.pointcloud import AugmentParams
@@ -159,7 +159,7 @@ class TestCommands:
         )
         assert code == 0, stdout
         params = load_checkpoint(ckpt)
-        assert params.layer_sizes == (9, 8, 8, 6)
+        assert [w.shape for w in params.weights] == [(8, 9), (8, 8), (6, 8)]
         history = (tmp_path / "enc.epck.history.csv").read_text().splitlines()
         assert history[0] == "step,epoch,loss,lr"
         assert len(history) == 5
@@ -207,6 +207,22 @@ class TestCommands:
         code, _, stderr = run(capsys, *argv.format(t=tmp_path).split())
         assert code == 1
         assert message in stderr
+
+    def test_kind_choices_come_from_the_loss_table(self):
+        top = _build_parser()._actions
+        subcommands = next(a for a in top if a.choices and "bench" in a.choices)
+
+        def choices(command, dest):
+            actions = subcommands.choices[command]._actions
+            return list(next(a for a in actions if a.dest == dest).choices)
+
+        assert choices("pretrain", "loss") == list(losses.KINDS)
+        assert choices("bench", "kind") == list(losses.PAIR_KINDS)
+
+    def test_bench_point_loss_ignores_the_segment_count(self, capsys):
+        code, stdout, _ = run(capsys, "bench", "--kind", "pc", "--sizes", "4,8,16,24")
+        assert code == 0
+        assert "       4     32   32          4           12            128" in stdout
 
     def test_bench_rejects_more_segments_than_points(self, capsys):
         code, _, stderr = run(capsys, "bench", "--kind", "ag", "--sizes", "16", "--m", "32",

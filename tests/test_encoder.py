@@ -68,7 +68,7 @@ class TestInit:
 
     def test_layer_sizes(self):
         params = encoder_init(9, 32, 12, seed=1)
-        assert params.layer_sizes == (9, 32, 32, 12)
+        assert [w.shape for w in params.weights] == [(32, 9), (32, 32), (12, 32)]
 
     def test_direct_construction_validates_derived_containers_do_not(self):
         params = encoder_init(9, 4, 3, seed=0)
@@ -225,7 +225,7 @@ class TestCheckpoint:
         path = tmp_path / "deep.epck"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
-        assert loaded.layer_sizes == sizes
+        assert [w.shape for w in loaded.weights] == [(o, i) for i, o in zip(sizes, sizes[1:])]
         cloud = random_cloud(rng, n=8)
         emb, _ = encoder_forward(loaded, cloud)
         assert emb.shape == (8, 3)

@@ -20,13 +20,25 @@ from epcontrast import (
     ep_contrast,
     kmeans_segments,
     point_infonce,
-    segment_pool,
     segment_pool_backward,
 )
 from epcontrast import losses, numcore
 from epcontrast.bench import accounted_bytes
-from epcontrast.errors import EmptyNegativeSetError, PartitionError, RangeError, ShapeError
-from epcontrast.losses import KINDS, PAIR_KINDS, _NO_SHIFT_LIMIT, _sample_negatives, _softmax_rows
+from epcontrast.errors import (
+    ConfigError,
+    EmptyNegativeSetError,
+    PartitionError,
+    RangeError,
+    ShapeError,
+)
+from epcontrast.losses import (
+    KINDS,
+    PAIR_KINDS,
+    _NO_SHIFT_LIMIT,
+    _sample_negatives,
+    _segment_mean,
+    _softmax_rows,
+)
 from epcontrast.numcore import _row_blocks, _unit_rows, _unit_rows_backward
 from epcontrast.rng import substream
 from epcontrast.selfcheck import (
@@ -47,13 +59,13 @@ class TestSegmentPool:
     def test_average_of_two_rows(self):
         f = np.array([[1.0, 3.0], [3.0, 5.0]])
         seg = SegmentAssignment(np.array([0, 0]), 1)
-        np.testing.assert_array_equal(segment_pool(f, seg), [[2.0, 4.0]])
+        np.testing.assert_array_equal(_segment_mean(f, seg), [[2.0, 4.0]])
 
     def test_singleton_segments_identity(self):
         rng = np.random.default_rng(0)
         f = rng.normal(size=(6, 4))
         seg = SegmentAssignment(np.arange(6), 6)
-        np.testing.assert_array_equal(segment_pool(f, seg), f)
+        np.testing.assert_array_equal(_segment_mean(f, seg), f)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(1)
@@ -65,7 +77,7 @@ class TestSegmentPool:
             members = np.flatnonzero(ids == alpha)
             for k in range(5):
                 want[alpha, k] = sum(f[i, k] for i in members) / len(members)
-        np.testing.assert_allclose(segment_pool(f, seg), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_segment_mean(f, seg), want, rtol=0, atol=1e-12)
 
     def test_backward_distributes_by_size(self):
         rng = np.random.default_rng(2)
@@ -76,8 +88,9 @@ class TestSegmentPool:
         np.testing.assert_allclose(back[2], g[1])
 
     def test_row_count_mismatch(self):
-        with pytest.raises(ShapeError):
-            segment_pool(np.zeros((3, 2)), SEG2)
+        f = np.zeros((3, 2))
+        with pytest.raises(ShapeError, match="covers 2 points, embedding has 3 rows"):
+            ag_contrast(f, f, SEG2, SUM_CFG)
 
 
 class TestWorkedExamples:
@@ -296,11 +309,13 @@ class TestStructuralProperties:
                     _softmax_rows(den.copy(), np.array([0, 1]), cfg, bound, 9, first=7)
 
     def test_dispatch_rejects_unknown_kind_and_missing_segments(self):
-        with pytest.raises(ValueError, match="unknown loss kind"):
+        with pytest.raises(ConfigError, match="unknown loss kind"):
             contrast("xx", EYE2, EYE2, SEG2, SUM_CFG)
         for kind in ("ag", "ep"):
-            with pytest.raises(ValueError, match="segment assignment"):
+            with pytest.raises(ConfigError, match="segment assignment"):
                 contrast(kind, EYE2, EYE2, None, SUM_CFG)
+            with pytest.raises(ConfigError, match="segment assignment"):
+                brute_force_loss(kind, EYE2, EYE2, None, SUM_CFG)
 
     def test_kind_names_are_exact(self):
         with pytest.raises(ValueError, match="PC"):
@@ -369,7 +384,7 @@ def shifted_reference(kind, f1, f2, seg, cfg):
     if kind == "cc":
         q, k, pos_col, normalize = f1.T, f2.T, np.arange(f1.shape[1]), cfg.normalize_channels
     else:
-        q, k = f1, (f2 if kind == "pc" else segment_pool(f2, seg))
+        q, k = f1, (f2 if kind == "pc" else _segment_mean(f2, seg))
         pos_col = np.arange(f1.shape[0]) if kind == "pc" else seg.segment_of
         normalize = cfg.normalize_rows
     if normalize:
@@ -559,6 +574,9 @@ class TestPairCounting:
         assert count_pairs("ag", 16, 16, 1) == (16, 240)
         with pytest.raises(PartitionError, match="cannot split 16 points into 17 segments"):
             count_pairs("ag", 16, 17, 1)
+        # the other schemes do not read m
+        assert count_pairs("pc", 4, 32, 2) == (4, 12)
+        assert count_pairs("cc", 4, 32, 2) == (2, 2)
 
     @pytest.mark.parametrize("kind", ["pc", "ag", "cc"])
     def test_oracle_counter_matches_count_pairs(self, kind):
@@ -574,6 +592,76 @@ class TestPairCounting:
                 brute_force_loss(kind, f1, f2, seg, cfg, counter)
                 directions = 2 if kind == "ag" and symmetric else 1
                 assert counter.count == directions * (pos + neg)
+
+    def test_named_errors(self):
+        for sizes in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+            with pytest.raises(RangeError, match="sizes must be >= 1"):
+                count_pairs("pc", *sizes)
+        with pytest.raises(ConfigError, match="unknown pair scheme 'ep'"):
+            count_pairs("ep", 4, 2, 2)
+
+
+class TestKindTable:
+    EVALUATORS = {"pc": "point_infonce", "ag": "ag_contrast", "cc": "channel_contrast",
+                  "ep": "ep_contrast"}
+
+    def test_every_kind_has_one_evaluator_and_pair_kinds_have_formulas(self):
+        assert set(self.EVALUATORS) == set(KINDS)
+        assert PAIR_KINDS == ("pc", "ag", "cc")
+        assert [name for name, spec in KINDS.items() if spec.segmented] == ["ag", "ep"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_contrast_calls_the_kinds_evaluator_once(self, monkeypatch, kind):
+        """Through the module-level name, so a wrapper installed there sees
+        the call; "ep" evaluates both of its terms without the other two."""
+        calls = {}
+        for name in self.EVALUATORS.values():
+            def counted(*args, _name=name, _fn=getattr(losses, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(losses, name, counted)
+        f1, f2, seg = random_instance(substream(813, 0), 8, 3, 2)
+        out = contrast(kind, f1, f2, seg, SUM_CFG)
+        assert calls == {self.EVALUATORS[kind]: 1}
+        monkeypatch.undo()
+        assert out.value == contrast(kind, f1, f2, seg, SUM_CFG).value
+
+    def test_oracle_rejects_views_of_different_shapes(self):
+        f1, f2 = np.ones((4, 2)), np.ones((4, 3))
+        with pytest.raises(ShapeError, match=r"\(4, 2\) vs \(4, 3\)"):
+            point_infonce(f1, f2, SUM_CFG)
+        for kind in KINDS:
+            with pytest.raises(ShapeError, match=r"\(4, 2\) vs \(4, 3\)"):
+                brute_force_loss(kind, f1, f2, SEG2, SUM_CFG)
+
+    def test_oracle_checks_segment_coverage(self):
+        f1, f2, _ = random_instance(substream(814, 0), 4, 3, 2)
+        three = SegmentAssignment(np.array([0, 1, 1]), 2)
+        for kind in ("ag", "ep"):
+            with pytest.raises(ShapeError, match="covers 3 points, embedding has 4 rows"):
+                contrast(kind, f1, f2, three, SUM_CFG)
+            with pytest.raises(ShapeError, match="covers 3 points, embedding has 4 rows"):
+                brute_force_loss(kind, f1, f2, three, SUM_CFG)
+
+    def test_oracle_caps_m_for_segmented_kinds_only(self):
+        f1, f2, seg = random_instance(substream(815, 0), 70, 2, 65)
+        for kind in ("pc", "cc"):
+            got = contrast(kind, f1, f2, seg, SUM_CFG).value
+            assert rel_err(got, brute_force_loss(kind, f1, f2, seg, SUM_CFG)) <= 1e-10
+        for kind in ("ag", "ep"):
+            with pytest.raises(RangeError, match="M=65"):
+                brute_force_loss(kind, f1, f2, seg, SUM_CFG)
+
+    def test_ep_oracle_skips_the_channel_term_at_lam_zero(self):
+        f1, f2, seg = random_instance(substream(816, 0), 6, 1, 2)
+        cfg = LossConfig(reduction="sum", lam=0.0)
+        counter = EvalCounter()
+        want = brute_force_loss("ep", f1, f2, seg, cfg, counter)
+        assert rel_err(ep_contrast(f1, f2, seg, cfg).value, want) <= 1e-10
+        assert want == brute_force_loss("ag", f1, f2, seg, cfg)
+        assert counter.count == sum(count_pairs("ag", 6, 2, 1))
+        with pytest.raises(EmptyNegativeSetError):
+            brute_force_loss("ep", f1, f2, seg, LossConfig(lam=0.1))
 
 
 class TestMemory:

@@ -120,6 +120,16 @@ class TestBinaryFormat:
         save_binary(PointCloud(np.zeros((2, 3)), np.ones((2, 3)), np.array([1, 2])), path)
         assert path.stat().st_size == 73
 
+    def test_label_beyond_uint32_rejected_before_the_file_is_opened(self, tmp_path):
+        top = tmp_path / "top.epcc"
+        save_binary(PointCloud(np.zeros((2, 3)), np.ones((2, 3)), np.array([0, 2**32 - 1])), top)
+        assert load_binary(top).labels[1] == 2**32 - 1
+        path = tmp_path / "wide.epcc"
+        cloud = PointCloud(np.zeros((2, 3)), np.ones((2, 3)), np.array([1, 2**32 + 5]))
+        with pytest.raises(RangeError, match=r"wide\.epcc: label 4294967301"):
+            save_binary(cloud, path)
+        assert not path.exists()
+
     def test_roundtrip_bit_identical_payload(self, tmp_path):
         rng = np.random.default_rng(4)
         cloud = random_cloud(rng, n=100, labeled=True)
