@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CacheError, FormatError, PayloadLengthError, RangeError, ShapeError
+from .errors import (
+    CacheError, ConfigError, FormatError, PayloadLengthError, RangeError, ShapeError,
+)
 from .pointcloud import PointCloud
 from .rng import substream
 
@@ -87,7 +89,9 @@ class MlpParams:
 def encoder_init(d_in: int, hidden: int, c_out: int, seed: int) -> MlpParams:
     """Uniform He-style init: W ~ U[-sqrt(6/fan_in), +sqrt(6/fan_in)], b = 0."""
     if min(d_in, hidden, c_out) < 1:
-        raise ValueError("all layer dimensions must be >= 1")
+        raise ConfigError(
+            f"all layer dimensions must be >= 1, got {d_in}, {hidden}, {c_out}"
+        )
     sizes = [d_in, hidden, hidden, c_out]
     weights, biases = [], []
     for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):

@@ -394,7 +394,7 @@ def point_infonce(
     negatives = None
     if k is not None and k < n - 1:
         if rng is None:
-            raise ValueError("negative sampling requires a random stream")
+            raise ConfigError("negative sampling requires a random stream")
         negatives = _sample_negatives(n, k, rng)
     return _rows_contrast(f1, f2, np.arange(n), cfg, negatives)
 
@@ -510,11 +510,12 @@ def ep_contrast(
     if cfg.lam == 0.0:
         return ag
     cc = _channel_views(f1, f2, cfg)
-    return LossOutput(
-        ag.value + cfg.lam * cc.value,
-        ag.grad_f1 + cfg.lam * cc.grad_f1,
-        ag.grad_f2 + cfg.lam * cc.grad_f2,
-    )
+    # lam * cc + ag in the channel gradients' own buffers; the sum commutes,
+    # so the bytes are those of ag + lam * cc
+    for g, ag_g in ((cc.grad_f1, ag.grad_f1), (cc.grad_f2, ag.grad_f2)):
+        g *= cfg.lam
+        g += ag_g
+    return LossOutput(ag.value + cfg.lam * cc.value, cc.grad_f1, cc.grad_f2)
 
 
 def contrast(

@@ -29,6 +29,7 @@ import numpy as np
 from .encoder import INPUT_DIM, MlpParams, encoder_backward, encoder_forward, encoder_init
 from .errors import ConfigError, DivergenceError, RangeError, UnlabeledSceneError
 from .losses import KINDS, LossConfig, contrast
+from .numcore import _gemm_row_blocks
 from .pointcloud import AugmentParams, PointCloud, make_view_pair
 from .rng import derive_seed, substream
 from .superpoint import KMeansConfig, SegmentAssignment, kmeans_segments
@@ -190,7 +191,7 @@ def pretrain(
     before the update.
     """
     if not scenes:
-        raise ValueError("pretraining needs at least one scene")
+        raise RangeError("pretraining needs at least one scene")
     segments: list[SegmentAssignment] = [kmeans_segments(s, kmeans_cfg) for s in scenes]
 
     params = encoder_init(
@@ -273,9 +274,66 @@ class ProbeConfig:
             )
 
 
-def _stack_embeddings(params, scenes):
-    feats = [encoder_forward(params, scene)[0] for scene in scenes]
-    return np.vstack(feats), np.concatenate([scene.labels for scene in scenes])
+def _point_sums(xt: np.ndarray, mu: np.ndarray | None = None) -> np.ndarray:
+    """Per-feature sums over the points of the class-major ``xt`` (d, n),
+    with the bytes of ``x.sum(axis=0)`` on the row-major x = xt.T, or of
+    ``((x - mu) ** 2).sum(axis=0)`` when ``mu`` is given.
+
+    numpy sums axis 0 of a C-ordered matrix row by row, so each cache-sized
+    column block of ``xt`` is copied into rows 1.. of a C-ordered scratch
+    buffer behind the running sum in row 0, and reduced the same way. A
+    pairwise ``xt.sum(axis=1)`` would add in another order.
+    """
+    blocks = _gemm_row_blocks(xt.shape[1], xt.shape[0])
+    buf = np.empty((max(b.stop - b.start for b in blocks) + 1, xt.shape[0]))
+    acc = None
+    for b in blocks:
+        part = buf[1 : b.stop - b.start + 1]
+        part[...] = xt[:, b].T
+        if mu is not None:
+            part -= mu
+            part *= part
+        if acc is not None:
+            buf[0] = acc
+            part = buf[: b.stop - b.start + 1]
+        acc = np.add.reduce(part, axis=0)
+    return acc
+
+
+def _probe_matrix(
+    params: MlpParams, scenes: list[PointCloud], rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The standardized class-major training matrix ``xt`` (d+1, n), bias row
+    last, and the per-feature mean and divisor it was standardized with.
+
+    Each scene is embedded once and its embeddings written straight into
+    ``xt``'s columns; ``rows``, if given, picks the points to keep by their
+    index in the concatenated scenes, and ``xt``'s columns follow its order.
+    ``mu`` and ``sd`` carry the bytes of ``x.mean(axis=0)`` and
+    ``np.maximum(x.std(axis=0), 1e-8)`` on the row-major matrix x = xt[:d].T.
+    """
+    d = params.weights[-1].shape[0]
+    n = sum(scene.n for scene in scenes) if rows is None else len(rows)
+    xt = np.empty((d + 1, n))
+    start = 0
+    for scene in scenes:
+        emb = encoder_forward(params, scene)[0]
+        stop = start + scene.n
+        if rows is None:
+            xt[:d, start:stop] = emb.T
+        else:
+            hit = (rows >= start) & (rows < stop)
+            xt[:d, hit] = emb[rows[hit] - start].T
+        start = stop
+        del emb  # free before the next scene's forward pass
+
+    x = xt[:d]
+    mu = _point_sums(x) / n
+    sd = np.maximum(np.sqrt(_point_sums(x, mu) / n), 1e-8)
+    x -= mu[:, None]
+    x /= sd[:, None]
+    xt[d] = 1.0
+    return xt, mu, sd
 
 
 def _probe_weights(
@@ -304,57 +362,69 @@ def linear_probe(params: MlpParams, scenes: list[PointCloud], cfg: ProbeConfig) 
 
     The trailing ``holdout_fraction`` of the scene list is the evaluation
     split; the probe sees a ``label_fraction`` subsample of the training
-    points. Classes never seen by the probe are warned about and their
-    held-out points counted as errors.
+    points, drawn from the training point count alone. The labels present
+    in all the scenes are mapped to dense class ids 0..K-1, so K is the
+    number of distinct labels, not the largest label plus one. Classes
+    never seen by the probe are warned about and their held-out points
+    counted as errors.
 
-    The probe is full-batch softmax regression whose logits are kept
-    class-major, as one (K, n) buffer reused every step: the softmax's max
+    The only large buffers are the standardized class-major training matrix
+    (d+1, n), which :func:`_probe_matrix` fills one scene at a time with the
+    kept points only and standardizes in place from blocked per-feature
+    sums, and the fit's (K, n) logits, reused every step: the softmax's max
     and sum then run over the short class axis K and vectorize along the n
-    points, where a row-major (n, K) layout reduces n rows of K entries each.
+    points. The matrix is freed after the fit, and the held-out scenes are
+    embedded and scored one at a time.
     """
     for i, scene in enumerate(scenes):
         if scene.labels is None:
             raise UnlabeledSceneError(f"probing needs labeled scenes; scene {i} has no labels")
     n_hold = max(1, round(cfg.holdout_fraction * len(scenes)))
     if n_hold >= len(scenes):
-        raise ValueError(
+        raise ConfigError(
             f"holdout of {n_hold} scenes leaves no training scenes (have {len(scenes)})"
         )
     train_scenes, eval_scenes = scenes[:-n_hold], scenes[-n_hold:]
-    x_train, y_train = _stack_embeddings(params, train_scenes)
-    x_eval, y_eval = _stack_embeddings(params, eval_scenes)
-    num_classes = int(max(y_train.max(), y_eval.max())) + 1
-
+    classes, dense = np.unique(
+        np.concatenate([scene.labels for scene in scenes]), return_inverse=True
+    )
+    n_train = sum(scene.n for scene in train_scenes)
+    rows = None
     if cfg.label_fraction < 1.0:
-        keep = max(1, round(cfg.label_fraction * x_train.shape[0]))
-        chosen = substream(cfg.seed, 0).choice(x_train.shape[0], size=keep, replace=False)
-        x_train, y_train = x_train[chosen], y_train[chosen]
+        keep = max(1, round(cfg.label_fraction * n_train))
+        rows = substream(cfg.seed, 0).choice(n_train, size=keep, replace=False)
+    y_train = dense[:n_train] if rows is None else dense[rows]
+    y_eval = dense[n_train:].copy()
+    del dense
 
     seen = np.unique(y_train)
     missing = np.setdiff1d(np.unique(y_eval), seen)
     if missing.size:
         warnings.warn(
-            f"classes {missing.tolist()} absent from probe training; "
+            f"classes {classes[missing].tolist()} absent from probe training; "
             "their held-out points are scored as errors",
             stacklevel=2,
         )
 
-    # standardize with training statistics so one fixed lr works across encoders;
-    # the training matrix is written class-major, (d+1, n), with the bias row last
-    mu = x_train.mean(axis=0)
-    sd = np.maximum(x_train.std(axis=0), 1e-8)
-    n, d = x_train.shape
-    xt = np.empty((d + 1, n))
-    np.subtract(x_train.T, mu[:, None], out=xt[:d])
-    xt[:d] /= sd[:, None]
-    xt[d] = 1.0
-    del x_train
-    x_eval = (x_eval - mu) / sd
-    x_eval = np.hstack([x_eval, np.ones((x_eval.shape[0], 1))])
+    # standardized with training statistics so one fixed lr works across encoders
+    xt, mu, sd = _probe_matrix(params, train_scenes, rows)
+    w = _probe_weights(xt, y_train, len(classes), cfg)
+    del xt
 
-    w = _probe_weights(xt, y_train, num_classes, cfg)
-    pred = np.argmax(x_eval @ w.T, axis=1)
-    correct = pred == y_eval
-    if missing.size:
-        correct &= ~np.isin(y_eval, missing)
-    return float(correct.mean())
+    d = len(mu)
+    correct = 0
+    start = 0
+    for scene in eval_scenes:
+        emb = encoder_forward(params, scene)[0]
+        x = np.empty((scene.n, d + 1))
+        np.subtract(emb, mu, out=x[:, :d])
+        x[:, :d] /= sd
+        x[:, d] = 1.0
+        y = y_eval[start : start + scene.n]
+        hit = np.argmax(x @ w.T, axis=1) == y
+        if missing.size:
+            hit &= ~np.isin(y, missing)
+        correct += int(np.count_nonzero(hit))
+        start += scene.n
+        del emb, x  # free before the next scene's forward pass
+    return correct / len(y_eval)

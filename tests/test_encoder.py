@@ -17,7 +17,9 @@ from epcontrast import (
     save_checkpoint,
 )
 from epcontrast.encoder import encoder_features
-from epcontrast.errors import CacheError, FormatError, PayloadLengthError, RangeError, ShapeError
+from epcontrast.errors import (
+    CacheError, ConfigError, FormatError, PayloadLengthError, RangeError, ShapeError,
+)
 from epcontrast.selfcheck import central_diff, rel_err
 
 
@@ -69,6 +71,11 @@ class TestInit:
     def test_layer_sizes(self):
         params = encoder_init(9, 32, 12, seed=1)
         assert [w.shape for w in params.weights] == [(32, 9), (32, 32), (12, 32)]
+
+    @pytest.mark.parametrize("dims", [(0, 16, 8), (9, 0, 8), (9, 16, 0)])
+    def test_dimension_below_one_is_a_config_error(self, dims):
+        with pytest.raises(ConfigError, match="dimensions must be >= 1"):
+            encoder_init(*dims, seed=0)
 
     def test_direct_construction_validates_derived_containers_do_not(self):
         params = encoder_init(9, 4, 3, seed=0)

@@ -552,7 +552,7 @@ class TestSampling:
     def test_sampling_requires_stream(self):
         rng = substream(810, 0)
         f1, f2, _ = random_instance(rng, 10, 3, 2)
-        with pytest.raises(ValueError, match="stream"):
+        with pytest.raises(ConfigError, match="negative sampling requires a random stream"):
             point_infonce(f1, f2, LossConfig(neg_sample_count=2))
 
     def test_sampling_deterministic_per_stream(self):

@@ -1,5 +1,6 @@
 """Scene generation, the optimizer, pretraining bookkeeping, and the probe."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from epcontrast import (
 )
 from epcontrast import trainer
 from epcontrast.encoder import encoder_forward
-from epcontrast.errors import DivergenceError, UnlabeledSceneError
+from epcontrast.errors import ConfigError, DivergenceError, RangeError, UnlabeledSceneError
 from epcontrast.pointcloud import AugmentParams
 from epcontrast.rng import derive_seed, substream
 from epcontrast.trainer import _probe_weights, class_palette, optim_init
@@ -188,6 +189,10 @@ class TestPretrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=r"step \d+ \(epoch \d, scene \d,"):
                 pretrain(scenes, cfg, KMeansConfig(target_segments=4))
+
+    def test_no_scenes_is_a_range_error(self):
+        with pytest.raises(RangeError, match="at least one scene"):
+            pretrain([], tiny_train_cfg(), KMeansConfig(target_segments=4))
 
     def test_cosine_schedule_decays(self):
         scenes = tiny_scenes(count=4)
@@ -357,7 +362,10 @@ LAYOUT_CASES = [
 
 
 @pytest.mark.parametrize("case", range(len(LAYOUT_CASES)))
-def test_class_major_probe_matches_row_major_replica(case):
+def test_class_major_probe_matches_row_major_replica(case, monkeypatch):
+    """The matrix that linear_probe fits has the replica's bytes, and so do
+    the weights it fits on it; the replica's own (n, K) arithmetic rounds
+    the weights differently in the last bits."""
     num_classes, fraction, drop = LAYOUT_CASES[case]
     scene_cfg = SyntheticSceneConfig(num_clusters=num_classes, points_per_cluster=15,
                                      color_noise_std=0.2)
@@ -367,6 +375,14 @@ def test_class_major_probe_matches_row_major_replica(case):
     params = encoder_init(9, 8, 6, seed=case)
     cfg = ProbeConfig(steps=60, lr=1.0, label_fraction=fraction, seed=case)
 
+    fits = []
+
+    def probe_weights(xt, y, num_classes, cfg):
+        w = _probe_weights(xt, y, num_classes, cfg)
+        fits.append((xt, y, num_classes, w))
+        return w
+
+    monkeypatch.setattr(trainer, "_probe_weights", probe_weights)
     acc_ref, w_ref, x_ref, y_ref = row_major_probe(params, scenes, cfg)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -375,6 +391,107 @@ def test_class_major_probe_matches_row_major_replica(case):
         assert any("absent" in str(c.message) for c in caught)
     assert acc == acc_ref
 
-    w = _probe_weights(np.ascontiguousarray(x_ref.T), y_ref, w_ref.shape[1], cfg)
-    assert w.shape == w_ref.T.shape
+    (xt, y, k, w), = fits
+    x_ref_t = np.ascontiguousarray(x_ref.T)
+    assert xt.tobytes() == x_ref_t.tobytes()
+    np.testing.assert_array_equal(y, y_ref)
+    assert k == w_ref.shape[1]
+    assert w.tobytes() == _probe_weights(x_ref_t, y_ref, k, cfg).tobytes()
     assert np.abs(w - w_ref.T).max() <= 1e-12 * np.abs(w_ref).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 1000, 2049, 4097, 32768])
+def test_blocked_point_statistics_keep_numpys_bytes(n):
+    """Over one or many cache-sized column blocks, and with a one-column
+    tail folded into the block before it, the class-major sums give the
+    bytes of numpy's mean and std on the row-major matrix."""
+    x = substream(n, 0).normal(3.0, 2.0, size=(n, 32))
+    x[:, 0] = -0.0  # numpy sums from +0.0, so this column sums to +0.0
+    mu = trainer._point_sums(np.ascontiguousarray(x.T)) / n
+    assert mu.tobytes() == x.mean(axis=0).tobytes()
+    sd = np.sqrt(trainer._point_sums(np.ascontiguousarray(x.T), mu) / n)
+    assert sd.tobytes() == x.std(axis=0).tobytes()
+
+
+def relabel(scene, ids):
+    return PointCloud(scene.positions, scene.colors, np.asarray(ids)[scene.labels])
+
+
+class TestProbeData:
+    def test_sparse_label_ids_probe_like_dense_ones(self):
+        scenes = tiny_scenes(count=4, clusters=3, ppc=10)
+        sparse = [relabel(s, [0, 7, 4_000_000_000]) for s in scenes]
+        params = encoder_init(9, 8, 6, seed=9)
+        for fraction in (1.0, 0.3):
+            cfg = ProbeConfig(steps=30, label_fraction=fraction, seed=0)
+            assert linear_probe(params, sparse, cfg) == linear_probe(params, scenes, cfg)
+
+    def test_absent_class_is_named_by_its_label(self):
+        base = [relabel(s, [0, 7, 4_000_000_000]) for s in tiny_scenes(count=4, ppc=10)]
+        scenes = [drop_class(s, 4_000_000_000) for s in base[:3]] + [base[3]]
+        params = encoder_init(9, 8, 6, seed=5)
+        with pytest.warns(UserWarning, match=r"classes \[4000000000\] absent"):
+            linear_probe(params, scenes, ProbeConfig(steps=5, seed=0))
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.05])
+    def test_each_scene_is_embedded_once(self, monkeypatch, fraction):
+        seen = []
+        real_forward = trainer.encoder_forward
+
+        def encoder_forward(params, scene):
+            seen.append(id(scene))
+            return real_forward(params, scene)
+
+        monkeypatch.setattr(trainer, "encoder_forward", encoder_forward)
+        scenes = tiny_scenes(count=6, clusters=3, ppc=10)
+        params = encoder_init(9, 8, 6, seed=3)
+        linear_probe(params, scenes, ProbeConfig(steps=5, label_fraction=fraction, seed=0))
+        assert sorted(seen) == sorted(id(s) for s in scenes)
+
+    def test_holdout_leaving_no_training_scenes_is_a_config_error(self):
+        scenes = tiny_scenes(count=2, clusters=3, ppc=10)
+        params = encoder_init(9, 8, 6, seed=0)
+        with pytest.raises(ConfigError, match="leaves no training scenes"):
+            linear_probe(params, scenes, ProbeConfig(holdout_fraction=0.9))
+
+
+class TestProbeMemory:
+    """The probe's only large buffers are the standardized (d+1, n) training
+    matrix and the fit's (K, n) logits, next to one scene's forward pass.
+    With few labels kept, the matrix is (d+1, keep) and the peak is one
+    forward pass and the held-out labels, plus that small matrix and 8 KiB
+    of index arrays and array headers. Peaks are tracemalloc's, beyond the
+    inputs, at 16 scenes of 1024 points, 12 of them for training."""
+
+    @staticmethod
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def setup_method(self):
+        cfg = SyntheticSceneConfig(num_clusters=8, points_per_cluster=128)
+        self.scenes = [generate_scene(cfg, substream(17, i)) for i in range(16)]
+        self.params = encoder_init(9, 64, 32, seed=17)
+        self.forward = self.peak_bytes(lambda: encoder_forward(self.params, self.scenes[0]))
+        # np.setdiff1d imports numpy.ma (about 1 MB) on its first call
+        linear_probe(self.params, self.scenes[:2], ProbeConfig(steps=1, holdout_fraction=0.5))
+
+    def test_full_labels_peak_is_matrix_logits_and_one_forward(self):
+        cfg = ProbeConfig(steps=5, seed=0)
+        n = 12 * 1024
+        bound = 33 * n * 8 + 8 * n * 8 + self.forward
+        assert self.peak_bytes(lambda: linear_probe(self.params, self.scenes, cfg)) <= bound
+
+    def test_few_labels_peak_is_one_forward_and_the_held_out_labels(self):
+        cfg = ProbeConfig(steps=5, label_fraction=0.001, seed=0)
+        keep = round(0.001 * 12 * 1024)
+        bound = self.forward + 4 * 1024 * 8 + 33 * keep * 8 + (8 << 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # 12 kept points miss a class
+            peak = self.peak_bytes(lambda: linear_probe(self.params, self.scenes, cfg))
+        assert peak <= bound
