@@ -47,8 +47,8 @@ loop, both directions of a symmetric segment loss included; the sweeps in
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,9 +100,25 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class LossOutput:
+    """A loss value, its gradients with respect to both views, and the named
+    terms the value sums.
+
+    :func:`point_infonce`, :func:`ag_contrast` and :func:`channel_contrast`
+    name their one term "pc", "ag" or "cc". :func:`ep_contrast` names the
+    "ag" value and the unweighted "cc" value, and its value is
+    ``terms["ag"] + lam * terms["cc"]`` bit for bit; at lam 0 the channel
+    loss is not evaluated and "ag" is the only term.
+    """
+
     value: float
     grad_f1: np.ndarray
     grad_f2: np.ndarray
+    terms: Mapping[str, float] = field(default_factory=dict)
+
+
+def _term(name: str, out: LossOutput) -> LossOutput:
+    """``out`` with its value as its one term ``name``."""
+    return LossOutput(out.value, out.grad_f1, out.grad_f2, {name: out.value})
 
 
 class EvalCounter:
@@ -396,7 +412,7 @@ def point_infonce(
         if rng is None:
             raise ConfigError("negative sampling requires a random stream")
         negatives = _sample_negatives(n, k, rng)
-    return _rows_contrast(f1, f2, np.arange(n), cfg, negatives)
+    return _term("pc", _rows_contrast(f1, f2, np.arange(n), cfg, negatives))
 
 
 def _ag_directional(fq, fk, seg, cfg):
@@ -417,7 +433,7 @@ def ag_contrast(
     directions instead. With singleton segments (M == N, identity ids)
     this reduces bitwise to :func:`point_infonce`.
     """
-    return _ag_views(*_view_pair(f1, f2), seg, cfg)
+    return _term("ag", _ag_views(*_view_pair(f1, f2), seg, cfg))
 
 
 def _ag_views(f1, f2, seg, cfg):
@@ -453,7 +469,7 @@ def channel_contrast(f1: np.ndarray, f2: np.ndarray, cfg: LossConfig) -> LossOut
     is built. A channel at the eps floor gets the gradient of its unit
     column divided by eps.
     """
-    return _channel_views(*_view_pair(f1, f2), cfg)
+    return _term("cc", _channel_views(*_view_pair(f1, f2), cfg))
 
 
 def _channel_views(f1, f2, cfg):
@@ -503,19 +519,23 @@ def ep_contrast(
 ) -> LossOutput:
     """Combined objective: segment loss plus ``cfg.lam`` times the channel loss.
 
-    Each view is validated once, for both terms.
+    Each view is validated once, for both terms, and each term is evaluated
+    once; the output names both (:class:`LossOutput`).
     """
     f1, f2 = _view_pair(f1, f2)
     ag = _ag_views(f1, f2, seg, cfg)
     if cfg.lam == 0.0:
-        return ag
+        return _term("ag", ag)
     cc = _channel_views(f1, f2, cfg)
     # lam * cc + ag in the channel gradients' own buffers; the sum commutes,
     # so the bytes are those of ag + lam * cc
     for g, ag_g in ((cc.grad_f1, ag.grad_f1), (cc.grad_f2, ag.grad_f2)):
         g *= cfg.lam
         g += ag_g
-    return LossOutput(ag.value + cfg.lam * cc.value, cc.grad_f1, cc.grad_f2)
+    return LossOutput(
+        ag.value + cfg.lam * cc.value, cc.grad_f1, cc.grad_f2,
+        {"ag": ag.value, "cc": cc.value},
+    )
 
 
 def contrast(

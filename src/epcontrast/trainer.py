@@ -15,7 +15,10 @@ scenes transfer to held-out ones).
 Evaluation is a linear probe: multinomial logistic regression trained by
 full-batch gradient descent on frozen per-point embeddings, scored as
 point-wise accuracy on held-out scenes, with optional label-fraction
-masking to emulate sparse annotation.
+masking to emulate sparse annotation. The probe fits in mixed precision:
+its standardization statistics, master weights and held-out scoring are
+float64, and its training matrix, logits, softmax and gradient GEMMs are
+float32.
 """
 
 from __future__ import annotations
@@ -303,14 +306,19 @@ def _point_sums(xt: np.ndarray, mu: np.ndarray | None = None) -> np.ndarray:
 def _probe_matrix(
     params: MlpParams, scenes: list[PointCloud], rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The standardized class-major training matrix ``xt`` (d+1, n), bias row
-    last, and the per-feature mean and divisor it was standardized with.
+    """The standardized class-major training matrix ``xt`` (d+1, n) in
+    float32, bias row last, and the float64 per-feature mean and divisor it
+    was standardized with.
 
     Each scene is embedded once and its embeddings written straight into
-    ``xt``'s columns; ``rows``, if given, picks the points to keep by their
-    index in the concatenated scenes, and ``xt``'s columns follow its order.
-    ``mu`` and ``sd`` carry the bytes of ``x.mean(axis=0)`` and
-    ``np.maximum(x.std(axis=0), 1e-8)`` on the row-major matrix x = xt[:d].T.
+    the columns of a float64 matrix; ``rows``, if given, picks the points to
+    keep by their index in the concatenated scenes, and the columns follow
+    its order. ``mu`` and ``sd`` carry the bytes of ``x.mean(axis=0)`` and
+    ``np.maximum(x.std(axis=0), 1e-8)`` on that row-major float64 matrix x.
+    Each feature row is standardized in float64 and then rounded to float32
+    into the front of the same buffer, so ``xt`` has the bytes of
+    ``((x - mu) / sd).T.astype(np.float32)`` and the float64 matrix is
+    gone once it is returned.
     """
     d = params.weights[-1].shape[0]
     n = sum(scene.n for scene in scenes) if rows is None else len(rows)
@@ -330,30 +338,53 @@ def _probe_matrix(
     x = xt[:d]
     mu = _point_sums(x) / n
     sd = np.maximum(np.sqrt(_point_sums(x, mu) / n), 1e-8)
-    x -= mu[:, None]
-    x /= sd[:, None]
-    xt[d] = 1.0
-    return xt, mu, sd
+    # the float32 matrix takes the first half of the float64 buffer: its row
+    # i lies in rows <= i of the float64 matrix, all read by then, so the
+    # two never take memory side by side
+    xt32 = xt.reshape(-1).view(np.float32)[: xt.size].reshape(xt.shape)
+    row = np.empty(n)
+    for i in range(d):
+        np.subtract(x[i], mu[i], out=row)
+        row /= sd[i]
+        xt32[i] = row
+    xt32[d] = 1.0
+    return xt32, mu, sd
 
 
 def _probe_weights(
     xt: np.ndarray, y: np.ndarray, num_classes: int, cfg: ProbeConfig
 ) -> np.ndarray:
     """Softmax-regression weights (K, d+1) from ``cfg.steps`` full-batch
-    gradient steps on the class-major training matrix ``xt`` (d+1, n)."""
+    gradient steps on the float32 class-major training matrix ``xt`` (d+1, n).
+
+    Mixed precision: the weights are float64 master weights. Each step
+    rounds them to float32 for the logit GEMM; the (K, n) logits, the
+    max-shifted softmax, the true-class subtraction and the gradient GEMM
+    run in float32, and the float32 gradient is scaled and subtracted in
+    float64. DivergenceError names the step and the lr if the rounded
+    weights are not finite; the fit would go on to NaN weights otherwise.
+    """
     n = xt.shape[1]
     w = np.zeros((num_classes, xt.shape[0]))
-    p = np.empty((num_classes, n))
+    w32 = np.empty(w.shape, np.float32)
+    p = np.empty((num_classes, n), np.float32)
     # flat indices of each point's true class in p, where P - Y differs from P
     true_class = y * n + np.arange(n)
     inv_n = 1.0 / n
-    for _ in range(cfg.steps):
-        np.matmul(w, xt, out=p)
+    for step in range(cfg.steps):
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            w32[...] = w
+        if not np.isfinite(w32).all():
+            raise DivergenceError(
+                f"probe diverged at step {step} (lr {cfg.lr:g}): "
+                "its weights overflow float32"
+            )
+        np.matmul(w32, xt, out=p)
         p -= p.max(axis=0)
         np.exp(p, out=p)
         p /= p.sum(axis=0)
         p.reshape(-1)[true_class] -= 1.0
-        w -= cfg.lr * (xt @ p.T).T * inv_n
+        w -= cfg.lr * (xt @ p.T).T.astype(np.float64) * inv_n
     return w
 
 
@@ -368,13 +399,17 @@ def linear_probe(params: MlpParams, scenes: list[PointCloud], cfg: ProbeConfig) 
     never seen by the probe are warned about and their held-out points
     counted as errors.
 
-    The only large buffers are the standardized class-major training matrix
-    (d+1, n), which :func:`_probe_matrix` fills one scene at a time with the
-    kept points only and standardizes in place from blocked per-feature
-    sums, and the fit's (K, n) logits, reused every step: the softmax's max
-    and sum then run over the short class axis K and vectorize along the n
-    points. The matrix is freed after the fit, and the held-out scenes are
-    embedded and scored one at a time.
+    The only large buffers are the class-major training matrix (d+1, n),
+    which :func:`_probe_matrix` fills in float64 one scene at a time with
+    the kept points only, standardizes with float64 statistics from blocked
+    per-feature sums and rounds to float32 into the front of its own
+    buffer, and the fit's float32 (K, n) logits, reused every step: the
+    softmax's max and sum then run over the short class axis K and
+    vectorize along the n points. :func:`_probe_weights` keeps float64
+    master weights and runs its GEMMs and softmax in float32; it raises
+    DivergenceError when the weights overflow float32. The matrix is freed
+    after the fit, and the held-out scenes are embedded, standardized and
+    scored one at a time in float64.
     """
     for i, scene in enumerate(scenes):
         if scene.labels is None:

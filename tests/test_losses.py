@@ -212,6 +212,37 @@ class TestStructuralProperties:
                 out.grad_f2, parts[0.0].grad_f2 + lam * cc.grad_f2, rtol=0, atol=1e-12
             )
 
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 2.0])
+    def test_ep_names_its_terms_and_evaluates_each_once(self, lam, monkeypatch):
+        rng = substream(809, 0)
+        f1, f2, seg = random_instance(rng, 8, 4, 3)
+        cfg = LossConfig(lam=lam, reduction="mean")
+        ag = ag_contrast(f1, f2, seg, cfg).value
+        cc = channel_contrast(f1, f2, cfg).value
+        calls = []
+        for name in ("_ag_views", "_channel_views"):
+            real = getattr(losses, name)
+            monkeypatch.setattr(
+                losses, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+            )
+        out = contrast("ep", f1, f2, seg, cfg)
+        if lam == 0.0:  # the channel loss is not evaluated
+            assert calls == ["_ag_views"]
+            assert out.terms == {"ag": ag}
+            assert out.value == ag
+        else:
+            assert calls == ["_ag_views", "_channel_views"]
+            assert out.terms == {"ag": ag, "cc": cc}
+            assert out.value == out.terms["ag"] + lam * out.terms["cc"]
+
+    def test_single_term_kinds_name_their_value(self):
+        rng = substream(810, 0)
+        f1, f2, seg = random_instance(rng, 8, 4, 3)
+        for kind in PAIR_KINDS:
+            out = contrast(kind, f1, f2, seg, LossConfig(neg_sample_count=3), substream(810, 1))
+            assert out.terms == {kind: out.value}
+        assert losses.LossOutput(1.0, f1, f2).terms == {}
+
     def test_symmetric_segment_loss_averages_directions(self):
         rng = substream(807, 0)
         f1, f2, seg = random_instance(rng, 10, 4, 3)
