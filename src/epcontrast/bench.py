@@ -10,12 +10,11 @@ walk the queries in row blocks whose score buffer stays within a fixed
 8 MiB, and exponentiate, normalize and differentiate inside each block's
 buffer. Their measured (tracemalloc) peak is one block plus the N x C
 embedding buffers: 0.131x the accounted bytes for pc at N = 4000 and 0.093x
-for ag at N = 16384, M = 2000 (``BENCH_8.json``), 0.21x for ag at N = 8192,
-M = 1024; at N = 4096, M = 512, whose 16 MiB of scores fill two blocks, it
-is 0.68x. Sampled pc scores only the N x (k + 1) pairs it draws. The
-channel loss's peak is set by its two N x C gradient buffers, not by its
-C x C scores: 34.19 MB (2.04 N x C buffers; no unit channel maps are held)
-against 8 KiB accounted at N = 65536, C = 32 (``BENCH_8.json``).
+for ag at N = 16384, M = 2000 (``BENCH_11.json``). Sampled pc scores only
+the N x (k + 1) pairs it draws. The channel loss's peak is set by its two
+N x C gradient buffers, not by its C x C scores: 34.19 MB (2.04 N x C
+buffers; no unit channel maps are held) against 8 KiB accounted at
+N = 65536, C = 32 (``BENCH_11.json``).
 
 The accounted figures are deterministic and platform-independent: quadratic
 in N for the point loss, linear in N for the segment loss at fixed M, and
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, ConfigError, DomainError
 from .losses import KINDS, LossConfig, _lookup, contrast, count_pairs
 from .rng import substream
 from .superpoint import SegmentAssignment
@@ -144,13 +143,17 @@ def bench_loss(
     Counts and accounted bytes come from the pair formulas; wall times are
     medians over ``repeats`` full evaluations (skipped when ``measure`` is
     False). A configuration whose accounted bytes exceed ``byte_budget``
-    raises :class:`BudgetError` naming the offending size.
+    raises :class:`BudgetError` naming the offending size; unsorted sizes,
+    fewer than 3 repeats and a budget that is not positive raise
+    :class:`ConfigError`.
     """
     _lookup(kind, pairs=True)
     if not sizes or list(sizes) != sorted(sizes):
-        raise ValueError("sizes must be a non-empty ascending list")
+        raise ConfigError(f"sizes must be a non-empty ascending list, got {list(sizes)}")
     if repeats < 3:
-        raise ValueError(f"repeats must be >= 3, got {repeats}")
+        raise ConfigError(f"repeats must be >= 3, got {repeats}")
+    if byte_budget is not None and byte_budget <= 0:
+        raise ConfigError(f"byte budget must be positive, got {byte_budget}")
     rows = []
     for n in sizes:
         pos, neg = count_pairs(kind, n, m, c)

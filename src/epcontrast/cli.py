@@ -19,6 +19,7 @@ reads any file.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -276,8 +277,17 @@ def _cmd_probe(args) -> int:
 def _cmd_bench(args) -> int:
     cfg = RunConfig.resolve(args.config, args.set)
     _print_config(cfg)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    budget = None if args.budget_mb is None else int(args.budget_mb * 1024 * 1024)
+    sizes = []
+    for entry in filter(None, args.sizes.split(",")):
+        try:
+            sizes.append(int(entry))
+        except ValueError:
+            raise ConfigError(f"--sizes entry {entry!r} is not an integer") from None
+    budget = None
+    if args.budget_mb is not None:
+        if not 0 < args.budget_mb < math.inf:
+            raise ConfigError(f"--budget-mb must be finite and positive, got {args.budget_mb}")
+        budget = int(args.budget_mb * 1024 * 1024)
     report = bench_mod.bench_loss(
         args.kind,
         sizes,

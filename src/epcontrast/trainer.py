@@ -16,7 +16,8 @@ Evaluation is a linear probe: multinomial logistic regression trained by
 full-batch gradient descent on frozen per-point embeddings, scored as
 point-wise accuracy on held-out scenes, with optional label-fraction
 masking to emulate sparse annotation. The probe fits in mixed precision:
-its standardization statistics, master weights and held-out scoring are
+its standardization statistics, merged scene by scene as the training
+scenes are embedded, its master weights and its held-out scoring are
 float64, and its training matrix, logits, softmax and gradient GEMMs are
 float32.
 """
@@ -32,7 +33,6 @@ import numpy as np
 from .encoder import INPUT_DIM, MlpParams, encoder_backward, encoder_forward, encoder_init
 from .errors import ConfigError, DivergenceError, RangeError, UnlabeledSceneError
 from .losses import KINDS, LossConfig, contrast
-from .numcore import _gemm_row_blocks
 from .pointcloud import AugmentParams, PointCloud, make_view_pair
 from .rng import derive_seed, substream
 from .superpoint import KMeansConfig, SegmentAssignment, kmeans_segments
@@ -277,78 +277,63 @@ class ProbeConfig:
             )
 
 
-def _point_sums(xt: np.ndarray, mu: np.ndarray | None = None) -> np.ndarray:
-    """Per-feature sums over the points of the class-major ``xt`` (d, n),
-    with the bytes of ``x.sum(axis=0)`` on the row-major x = xt.T, or of
-    ``((x - mu) ** 2).sum(axis=0)`` when ``mu`` is given.
-
-    numpy sums axis 0 of a C-ordered matrix row by row, so each cache-sized
-    column block of ``xt`` is copied into rows 1.. of a C-ordered scratch
-    buffer behind the running sum in row 0, and reduced the same way. A
-    pairwise ``xt.sum(axis=1)`` would add in another order.
-    """
-    blocks = _gemm_row_blocks(xt.shape[1], xt.shape[0])
-    buf = np.empty((max(b.stop - b.start for b in blocks) + 1, xt.shape[0]))
-    acc = None
-    for b in blocks:
-        part = buf[1 : b.stop - b.start + 1]
-        part[...] = xt[:, b].T
-        if mu is not None:
-            part -= mu
-            part *= part
-        if acc is not None:
-            buf[0] = acc
-            part = buf[: b.stop - b.start + 1]
-        acc = np.add.reduce(part, axis=0)
-    return acc
-
-
 def _probe_matrix(
     params: MlpParams, scenes: list[PointCloud], rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The standardized class-major training matrix ``xt`` (d+1, n) in
-    float32, bias row last, and the float64 per-feature mean and divisor it
-    was standardized with.
+    float32, bias row last, and the float64 per-feature mean ``mu`` and
+    divisor ``sd`` (the population std, floored at 1e-8) it was
+    standardized with.
 
-    Each scene is embedded once and its embeddings written straight into
-    the columns of a float64 matrix; ``rows``, if given, picks the points to
+    Each scene is embedded once; ``rows``, if given, picks the points to
     keep by their index in the concatenated scenes, and the columns follow
-    its order. ``mu`` and ``sd`` carry the bytes of ``x.mean(axis=0)`` and
-    ``np.maximum(x.std(axis=0), 1e-8)`` on that row-major float64 matrix x.
-    Each feature row is standardized in float64 and then rounded to float32
-    into the front of the same buffer, so ``xt`` has the bytes of
-    ``((x - mu) / sd).T.astype(np.float32)`` and the float64 matrix is
-    gone once it is returned.
+    its order. A scene's kept embeddings are merged into running float64
+    means and summed squared deviations (Chan, Golub & LeVeque's pairwise
+    update) and written into their float32 columns minus a fixed shift, the
+    mean of the first scene with kept points. The shift keeps the float32
+    rounding relative to the spread of the embeddings rather than to their
+    magnitude. Each feature row is then standardized in place through one
+    float64 scratch row as ``(row - (mu - shift)) / sd``.
     """
     d = params.weights[-1].shape[0]
     n = sum(scene.n for scene in scenes) if rows is None else len(rows)
-    xt = np.empty((d + 1, n))
+    xt = np.empty((d + 1, n), np.float32)
+    mu = np.zeros(d)
+    m2 = np.zeros(d)
+    shift = None
+    count = 0
     start = 0
     for scene in scenes:
         emb = encoder_forward(params, scene)[0]
         stop = start + scene.n
         if rows is None:
-            xt[:d, start:stop] = emb.T
+            cols, x = slice(start, stop), emb
         else:
-            hit = (rows >= start) & (rows < stop)
-            xt[:d, hit] = emb[rows[hit] - start].T
+            cols = (rows >= start) & (rows < stop)
+            x = emb[rows[cols] - start]
         start = stop
-        del emb  # free before the next scene's forward pass
+        if len(x):
+            x_mu = x.mean(axis=0)
+            delta = x_mu - mu
+            total = count + len(x)
+            mu += delta * (len(x) / total)
+            m2 += ((x - x_mu) ** 2).sum(axis=0) + delta * delta * (count * len(x) / total)
+            count = total
+            if shift is None:
+                shift = x_mu
+            xt[:d, cols] = (x - shift).T
+        del emb, x  # free before the next scene's forward pass
 
-    x = xt[:d]
-    mu = _point_sums(x) / n
-    sd = np.maximum(np.sqrt(_point_sums(x, mu) / n), 1e-8)
-    # the float32 matrix takes the first half of the float64 buffer: its row
-    # i lies in rows <= i of the float64 matrix, all read by then, so the
-    # two never take memory side by side
-    xt32 = xt.reshape(-1).view(np.float32)[: xt.size].reshape(xt.shape)
+    sd = np.maximum(np.sqrt(m2 / n), 1e-8)
+    offset = mu - shift
     row = np.empty(n)
     for i in range(d):
-        np.subtract(x[i], mu[i], out=row)
+        row[...] = xt[i]
+        row -= offset[i]
         row /= sd[i]
-        xt32[i] = row
-    xt32[d] = 1.0
-    return xt32, mu, sd
+        xt[i] = row
+    xt[d] = 1.0
+    return xt, mu, sd
 
 
 def _probe_weights(
@@ -399,13 +384,12 @@ def linear_probe(params: MlpParams, scenes: list[PointCloud], cfg: ProbeConfig) 
     never seen by the probe are warned about and their held-out points
     counted as errors.
 
-    The only large buffers are the class-major training matrix (d+1, n),
-    which :func:`_probe_matrix` fills in float64 one scene at a time with
-    the kept points only, standardizes with float64 statistics from blocked
-    per-feature sums and rounds to float32 into the front of its own
-    buffer, and the fit's float32 (K, n) logits, reused every step: the
-    softmax's max and sum then run over the short class axis K and
-    vectorize along the n points. :func:`_probe_weights` keeps float64
+    The only large buffers are the float32 class-major training matrix
+    (d+1, n), which :func:`_probe_matrix` fills one scene at a time with
+    the kept points only while it merges their float64 mean and variance,
+    then standardizes in place, and the fit's float32 (K, n) logits, reused
+    every step: the softmax's max and sum then run over the short class
+    axis K and vectorize along the n points. :func:`_probe_weights` keeps float64
     master weights and runs its GEMMs and softmax in float32; it raises
     DivergenceError when the weights overflow float32. The matrix is freed
     after the fit, and the held-out scenes are embedded, standardized and

@@ -5,7 +5,7 @@ import pytest
 
 from epcontrast import bench_loss, count_pairs, fit_exponent
 from epcontrast.bench import accounted_bytes
-from epcontrast.errors import BudgetError, DomainError
+from epcontrast.errors import BudgetError, ConfigError, DomainError
 
 
 class TestFitExponent:
@@ -87,3 +87,13 @@ class TestBenchLoss:
     def test_rejects_descending_sizes(self):
         with pytest.raises(ValueError, match="ascending"):
             bench_loss("pc", [200, 100], measure=False)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(sizes=[200, 100]), r"sizes must be a non-empty ascending list, got \[200, 100\]"),
+        (dict(sizes=[100, 200], repeats=2), "repeats must be >= 3, got 2"),
+        (dict(sizes=[8], byte_budget=0), "byte budget must be positive, got 0"),
+        (dict(sizes=[8], byte_budget=-1048576), "byte budget must be positive, got -1048576"),
+    ])
+    def test_bad_arguments_are_config_errors(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            bench_loss("pc", measure=False, **kwargs)

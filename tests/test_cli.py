@@ -188,6 +188,22 @@ class TestCommands:
         assert code == 1
         assert "accounted bytes" in stderr
 
+    @pytest.mark.parametrize("flags, message", [
+        ("--sizes 8,x", "--sizes entry 'x' is not an integer"),
+        ("--sizes 8 --budget-mb -1", "--budget-mb must be finite and positive, got -1.0"),
+        ("--sizes 8 --budget-mb 0", "--budget-mb must be finite and positive, got 0.0"),
+        ("--sizes 8 --budget-mb nan", "--budget-mb must be finite and positive, got nan"),
+    ])
+    def test_bad_bench_arguments_are_config_errors(self, capsys, flags, message):
+        flags = flags.split()
+        args = _build_parser().parse_args(["bench", "--kind", "pc", "--count-only", *flags])
+        with pytest.raises(ConfigError) as err:
+            args.func(args)
+        assert str(err.value) == message
+        code, _, stderr = run(capsys, "bench", "--kind", "pc", "--count-only", *flags)
+        assert code == 1
+        assert stderr == f"error: {message}\n"
+
     def test_non_finite_tau_is_a_config_error(self, capsys, tmp_path):
         scene_dir = tmp_path / "scenes"
         run(capsys, "gen", "--out", str(scene_dir), "--scenes", "1",

@@ -365,21 +365,55 @@ LAYOUT_CASES = [
 F32_U = 2.0**-24
 
 
+def kept_embeddings(params, scenes, rows=None):
+    """The float64 embeddings that _probe_matrix keeps from ``scenes``, in
+    its column order, and the shift it writes them under: the mean of the
+    kept points of the first scene that has any."""
+    embs = [encoder_forward(params, s)[0] for s in scenes]
+    x = np.vstack(embs)
+    rows = np.arange(len(x)) if rows is None else rows
+    bounds = np.cumsum([0] + [len(e) for e in embs])
+    shift = next(
+        emb[mine - lo].mean(axis=0)
+        for emb, lo, hi in zip(embs, bounds, bounds[1:])
+        if len(mine := rows[(rows >= lo) & (rows < hi)])
+    )
+    return x[rows], shift
+
+
+def matrix_error_bound(x, shift, mu, sd, mu_ref, sd_ref):
+    """Elementwise bound on |xt - z| for the float32 (d, n) rows of the
+    matrix that _probe_matrix standardizes with ``mu`` and ``sd``, against
+    z = (x - mu_ref) / sd_ref in float64, returned as (n, d).
+
+    The matrix holds fl32((fl32(x - shift) - (mu - shift)) / sd) with the
+    subtraction and division done in float64. Rounding the shifted
+    embedding errs by at most u * |x - shift|, which the division turns
+    into u * |x - shift| / sd; rounding the standardized value errs by at
+    most u * |z|. Their product and the float64 roundings are below
+    u**2 * (|x - shift| / sd + |z|), since |mu - shift| / sd is at most
+    that sum. The statistics' own difference moves z by at most
+    (|mu - mu_ref| + |z| * |sd - sd_ref|) / sd."""
+    z = (x - mu_ref) / sd_ref
+    stats = (np.abs(mu - mu_ref) + np.abs(z) * np.abs(sd - sd_ref)) / sd
+    return F32_U * (1 + F32_U) * (np.abs(x - shift) / sd + np.abs(z)) + stats
+
+
 @pytest.mark.parametrize("case", range(len(LAYOUT_CASES)))
 def test_class_major_probe_matches_row_major_replica(case, monkeypatch):
-    """The matrix that linear_probe fits has the bytes of the replica's
-    float64 matrix rounded to float32, the weights it fits on it are those
-    of _probe_weights on that rounded matrix, and the accuracy is the
+    """The matrix that linear_probe fits is the replica's float64 matrix
+    within float32 rounding (matrix_error_bound), and the accuracy is the
     replica's.
 
     The float64 replica's weights differ by float32 rounding. A first-order
     error model bounds that: each step rounds the master weights to float32,
-    off by at most u * max|w| per weight, after the data were rounded once
-    with relative error u; the float32 GEMMs and softmax err by the same
-    order relative to the update. Gradient descent on this convex loss at
-    this lr does not amplify an earlier error, so the errors of the
-    ``steps`` steps add at most linearly: steps * u * max|w|, 3.6e-6 of
-    the largest weight at 60 steps. Measured: at most 1.07 u * max|w|."""
+    off by at most u * max|w| per weight, after the data were rounded
+    twice with relative error u (matrix_error_bound); the float32 GEMMs and
+    softmax err by the same order relative to the update. Gradient descent
+    on this convex loss at this lr does not amplify an earlier error, so
+    the errors of the ``steps`` steps add at most linearly:
+    steps * u * max|w|, 3.6e-6 of the largest weight at 60 steps.
+    Measured: at most 1.63 u * max|w|."""
     num_classes, fraction, drop = LAYOUT_CASES[case]
     scene_cfg = SyntheticSceneConfig(num_clusters=num_classes, points_per_cluster=15,
                                      color_noise_std=0.2)
@@ -396,7 +430,16 @@ def test_class_major_probe_matches_row_major_replica(case, monkeypatch):
         fits.append((xt, y, num_classes, w))
         return w
 
+    stats = []
+    real_probe_matrix = trainer._probe_matrix
+
+    def probe_matrix(params, scenes, rows=None):
+        xt, mu, sd = real_probe_matrix(params, scenes, rows)
+        stats.append((scenes, rows, mu, sd))
+        return xt, mu, sd
+
     monkeypatch.setattr(trainer, "_probe_weights", probe_weights)
+    monkeypatch.setattr(trainer, "_probe_matrix", probe_matrix)
     acc_ref, w_ref, x_ref, y_ref = row_major_probe(params, scenes, cfg)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -406,11 +449,14 @@ def test_class_major_probe_matches_row_major_replica(case, monkeypatch):
     assert acc == acc_ref
 
     (xt, y, k, w), = fits
-    x_ref_t = np.ascontiguousarray(x_ref.T).astype(np.float32)
-    assert xt.tobytes() == x_ref_t.tobytes()
+    (train, rows, mu, sd), = stats
+    x, shift = kept_embeddings(params, train, rows)
+    mu_ref, sd_ref = x.mean(axis=0), np.maximum(x.std(axis=0), 1e-8)
+    bound = matrix_error_bound(x, shift, mu, sd, mu_ref, sd_ref)
+    assert np.all(np.abs(xt[:-1].T - x_ref[:, :-1]) <= bound)
+    assert np.all(xt[-1] == 1.0)
     np.testing.assert_array_equal(y, y_ref)
     assert k == w_ref.shape[1]
-    assert w.tobytes() == _probe_weights(x_ref_t, y_ref, k, cfg).tobytes()
     assert np.abs(w - w_ref.T).max() <= cfg.steps * F32_U * np.abs(w_ref).max()
 
 
@@ -435,17 +481,51 @@ def test_diverging_probe_is_a_divergence_error():
         linear_probe(params, scenes, ProbeConfig(steps=50, lr=1e300, seed=0))
 
 
-@pytest.mark.parametrize("n", [1, 2, 33, 1000, 2049, 4097, 32768])
-def test_blocked_point_statistics_keep_numpys_bytes(n):
-    """Over one or many cache-sized column blocks, and with a one-column
-    tail folded into the block before it, the class-major sums give the
-    bytes of numpy's mean and std on the row-major matrix."""
-    x = substream(n, 0).normal(3.0, 2.0, size=(n, 32))
-    x[:, 0] = -0.0  # numpy sums from +0.0, so this column sums to +0.0
-    mu = trainer._point_sums(np.ascontiguousarray(x.T)) / n
-    assert mu.tobytes() == x.mean(axis=0).tobytes()
-    sd = np.sqrt(trainer._point_sums(np.ascontiguousarray(x.T), mu) / n)
-    assert sd.tobytes() == x.std(axis=0).tobytes()
+# scenes of uneven size, two of them a single point
+STREAM_SIZES = (1, 40, 7, 300, 1, 96, 23)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+@pytest.mark.parametrize("keep", [None, 12, 1])
+def test_streamed_statistics_match_numpy(keep, offset):
+    """The per-scene merged mean and std equal numpy's float64 mean and std
+    of the stacked kept embeddings within 64 eps * mean|x| per feature, and
+    the matrix stays within matrix_error_bound of the float64
+    standardization, also when every embedding is offset by 1e4 through
+    the last-layer bias. A float64 sum errs by a few roundings of
+    mean|x|: about log2(n) for numpy's pairwise sum, and one per merged
+    scene for the stream; 64 covers both here, where the largest error
+    measured is 7.3 eps * mean|x|.
+
+    Rows are drawn as a label fraction draws them: 12 of the 468 points
+    miss the first scene and three others, and one point leaves every
+    deviation 0, so sd falls back to 1e-8."""
+    scenes = []
+    for i, size in enumerate(STREAM_SIZES):
+        k = 4 if size % 4 == 0 else 1
+        cfg = SyntheticSceneConfig(num_clusters=k, points_per_cluster=size // k)
+        scenes.append(generate_scene(cfg, substream(23, i)))
+    base = encoder_init(9, 16, 8, seed=23)
+    params = MlpParams(base.weights, base.biases[:-1] + (base.biases[-1] + offset,))
+    rows = None
+    if keep is not None:
+        rows = substream(0, 0).choice(sum(STREAM_SIZES), size=keep, replace=False)
+    if keep == 12:
+        bounds = np.cumsum((0,) + STREAM_SIZES)
+        hit = [((rows >= lo) & (rows < hi)).any() for lo, hi in zip(bounds, bounds[1:])]
+        assert hit == [False, True, False, True, False, True, False]
+
+    xt, mu, sd = trainer._probe_matrix(params, scenes, rows)
+    x, shift = kept_embeddings(params, scenes, rows)
+    mu_ref, sd_ref = x.mean(axis=0), np.maximum(x.std(axis=0), 1e-8)
+    tol = 64 * np.finfo(np.float64).eps * np.abs(x).mean(axis=0)
+    assert np.all(np.abs(mu - mu_ref) <= tol)
+    assert np.all(np.abs(sd - sd_ref) <= tol)
+    if keep == 1:
+        assert np.all(sd == 1e-8)
+    bound = matrix_error_bound(x, shift, mu, sd, mu_ref, sd_ref)
+    assert np.all(np.abs(xt[:-1].T - (x - mu_ref) / sd_ref) <= bound)
+    assert np.all(xt[-1] == 1.0)
 
 
 def relabel(scene, ids):
@@ -491,12 +571,11 @@ class TestProbeData:
 
 
 class TestProbeMemory:
-    """The probe's only large buffers are the (d+1, n) training matrix's
-    float64 buffer, whose front half holds the standardized float32 matrix
-    during the fit, and the fit's float32 (K, n) logits, next to one
-    scene's forward pass. With few labels kept, the matrix is (d+1, keep)
-    and the peak is one forward pass and the held-out labels, plus that
-    small matrix and 8 KiB of index arrays and array headers. Peaks are
+    """The probe's only large buffers are the float32 (d+1, n) training
+    matrix and the fit's float32 (K, n) logits, next to one scene's forward
+    pass. With few labels kept, the matrix is (d+1, keep) and the peak is
+    one forward pass and the held-out labels, plus that small matrix and
+    8 KiB of index arrays, statistics and array headers. Peaks are
     tracemalloc's, beyond the inputs, at 16 scenes of 1024 points, 12 of
     them for training."""
 
@@ -521,7 +600,7 @@ class TestProbeMemory:
     def test_full_labels_peak_is_matrix_logits_and_one_forward(self):
         cfg = ProbeConfig(steps=5, seed=0)
         n = 12 * 1024
-        bound = 33 * n * 8 + 8 * n * 4 + self.forward
+        bound = 33 * n * 4 + 8 * n * 4 + self.forward
         assert self.peak_bytes(lambda: linear_probe(self.params, self.scenes, cfg)) <= bound
 
     def test_fit_peak_is_float32_logits_and_the_true_class_index(self):
@@ -536,7 +615,7 @@ class TestProbeMemory:
     def test_few_labels_peak_is_one_forward_and_the_held_out_labels(self):
         cfg = ProbeConfig(steps=5, label_fraction=0.001, seed=0)
         keep = round(0.001 * 12 * 1024)
-        bound = self.forward + 4 * 1024 * 8 + 33 * keep * 8 + (8 << 10)
+        bound = self.forward + 4 * 1024 * 8 + 33 * keep * 4 + (8 << 10)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # 12 kept points miss a class
             peak = self.peak_bytes(lambda: linear_probe(self.params, self.scenes, cfg))
