@@ -33,7 +33,6 @@ from .losses import (
 from .pointcloud import (
     AugmentParams,
     PointCloud,
-    ViewPair,
     augment,
     load_ascii,
     load_binary,
@@ -76,7 +75,6 @@ __all__ = [
     "SegmentAssignment",
     "SyntheticSceneConfig",
     "TrainConfig",
-    "ViewPair",
     "adam_step",
     "ag_contrast",
     "augment",

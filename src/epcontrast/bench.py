@@ -144,13 +144,13 @@ def bench_loss(
     medians over ``repeats`` full evaluations (skipped when ``measure`` is
     False). A configuration whose accounted bytes exceed ``byte_budget``
     raises :class:`BudgetError` naming the offending size; unsorted sizes,
-    fewer than 3 repeats and a budget that is not positive raise
-    :class:`ConfigError`.
+    fewer than 3 repeats of a measured run and a budget that is not
+    positive raise :class:`ConfigError`.
     """
     _lookup(kind, pairs=True)
     if not sizes or list(sizes) != sorted(sizes):
         raise ConfigError(f"sizes must be a non-empty ascending list, got {list(sizes)}")
-    if repeats < 3:
+    if measure and repeats < 3:
         raise ConfigError(f"repeats must be >= 3, got {repeats}")
     if byte_budget is not None and byte_budget <= 0:
         raise ConfigError(f"byte budget must be positive, got {byte_budget}")

@@ -37,6 +37,7 @@ from .trainer import (
     ProbeConfig,
     SyntheticSceneConfig,
     TrainConfig,
+    _check_negatives,
     generate_scene,
     linear_probe,
     pretrain,
@@ -124,7 +125,7 @@ def _parse_value(key: str, raw: str, where: str = ""):
             raise ValueError(f"not a boolean: {raw!r}")
         return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from exc
+        raise ConfigError(f"{where}config key {key!r}: {exc}") from exc
 
 
 class RunConfig:
@@ -140,13 +141,13 @@ class RunConfig:
             values.update(cls._read_file(config_path))
         env_seed = os.environ.get("EPC_SEED")
         if env_seed is not None:
-            values["seed"] = _parse_value("seed", env_seed)
+            values["seed"] = _parse_value("seed", env_seed, "EPC_SEED: ")
         for item in sets:
             if "=" not in item:
                 raise ConfigError(f"--set expects key=value, got {item!r}")
             key, raw = item.split("=", 1)
             key = key.strip()
-            values[key] = _parse_value(key, raw)
+            values[key] = _parse_value(key, raw, "--set: ")
         return cls(values)
 
     @staticmethod
@@ -247,6 +248,7 @@ def _cmd_pretrain(args) -> int:
     train_cfg = cfg.build(TrainConfig, loss=cfg.build(LossConfig),
                           augment=cfg.build(AugmentParams), loss_kind=args.loss)
     kcfg = cfg.build(KMeansConfig)
+    _check_negatives(train_cfg, kcfg)
     scenes = _load_scene_dir(args.data)
     params, history = pretrain(scenes, train_cfg, kcfg)
     save_checkpoint(params, args.out)

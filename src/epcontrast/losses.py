@@ -689,25 +689,30 @@ def brute_force_loss(
 class LossKind:
     """One entry of :data:`KINDS`: ``evaluate(f1, f2, seg, cfg, rng)``, the
     ``oracle(f1, f2, seg, cfg, counter)`` on lists of rows, ``pairs(n, m,
-    c)`` -> (positives, negatives) or None for the combined "ep", and
-    whether the kind reads a segment assignment."""
+    c)`` -> (positives, negatives) or None for the combined "ep", whether
+    the kind reads a segment assignment (and so needs M >= 2), and
+    ``channels(cfg)``, whether it contrasts channels (and so needs C >= 2)."""
 
     evaluate: Callable[..., LossOutput]
     oracle: Callable[..., float]
     pairs: Callable[[int, int, int], tuple[int, int]] | None
     segmented: bool
+    channels: Callable[[LossConfig], bool]
 
 
 # The evaluators are lambdas so that each call looks the loss function up
 # by its module-level name: a wrapper installed on that name sees it.
 KINDS = {
     "pc": LossKind(lambda f1, f2, seg, cfg, rng: point_infonce(f1, f2, cfg, rng),
-                   _bf_pc, lambda n, m, c: (n, n * n - n), segmented=False),
+                   _bf_pc, lambda n, m, c: (n, n * n - n), segmented=False,
+                   channels=lambda cfg: False),
     "ag": LossKind(lambda f1, f2, seg, cfg, rng: ag_contrast(f1, f2, seg, cfg),
-                   _bf_ag, lambda n, m, c: (n, n * (m - 1)), segmented=True),
+                   _bf_ag, lambda n, m, c: (n, n * (m - 1)), segmented=True,
+                   channels=lambda cfg: False),
     "cc": LossKind(lambda f1, f2, seg, cfg, rng: channel_contrast(f1, f2, cfg),
-                   _bf_cc, lambda n, m, c: (c, c * c - c), segmented=False),
+                   _bf_cc, lambda n, m, c: (c, c * c - c), segmented=False,
+                   channels=lambda cfg: True),
     "ep": LossKind(lambda f1, f2, seg, cfg, rng: ep_contrast(f1, f2, seg, cfg),
-                   _bf_ep, None, segmented=True),
+                   _bf_ep, None, segmented=True, channels=lambda cfg: cfg.lam != 0.0),
 }
 PAIR_KINDS = tuple(name for name, spec in KINDS.items() if spec.pairs is not None)

@@ -111,18 +111,6 @@ class AugmentParams:
             )
 
 
-@dataclass(frozen=True)
-class ViewPair:
-    """Two augmented views of one scene; point i in view1 matches point i in view2."""
-
-    view1: PointCloud
-    view2: PointCloud
-
-    def __post_init__(self):
-        if self.view1.n != self.view2.n:
-            raise ShapeError("views of a pair must have the same point count")
-
-
 def load_ascii(path) -> PointCloud:
     """Parse an ASCII scene file; see the module docstring for the line format.
 
@@ -334,9 +322,9 @@ def augment(cloud: PointCloud, params: AugmentParams, rng: np.random.Generator) 
                       None if cloud.labels is None else cloud.labels.copy())
 
 
-def make_view_pair(cloud: PointCloud, params: AugmentParams, seed: int) -> ViewPair:
+def make_view_pair(
+    cloud: PointCloud, params: AugmentParams, seed: int
+) -> tuple[PointCloud, PointCloud]:
     """Two independent augmentations from sub-streams (seed, 1) and (seed, 2)."""
-    v1 = augment(cloud, params, substream(seed, 1))
-    v2 = augment(cloud, params, substream(seed, 2))
-    return ViewPair(v1, v2)
+    return tuple(augment(cloud, params, substream(seed, view)) for view in (1, 2))
 

@@ -1,11 +1,14 @@
 """Desk-scale pre-training and evaluation.
 
-The loop per optimizer step: pick a scene, draw a two-view augmentation
-pair, encode both views, evaluate the configured contrastive loss, push
-gradients back through both encoder passes, and take one bias-corrected
-adaptive-moment step with the scheduled learning rate. Superpoint segments
-are computed once per scene from the un-augmented cloud and shared by both
-views, which is sound because augmentation preserves point order.
+:func:`pretrain` segments every scene once, from its un-augmented cloud,
+then shuffles the scenes each epoch into batches of ``batch_size`` and
+takes one :func:`_train_step` per batch at the scheduled learning rate.
+The step draws each scene's two-view augmentation pair, encodes both
+views, evaluates the configured contrastive loss and pushes its gradients
+back through both encoder passes, then takes one bias-corrected
+adaptive-moment step on the batch-mean gradient. Both views share their
+scene's segments, which is sound because augmentation preserves point
+order.
 
 Scenes are synthetic: Gaussian blobs in a room, one label per blob, with
 blob colors taken from a fixed palette so the same label means the same
@@ -182,6 +185,74 @@ def _scheduled_lr(base_lr: float, schedule: str, step: int, total_steps: int) ->
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / (total_steps - 1)))
 
 
+def _check_negatives(train_cfg: TrainConfig, kmeans_cfg: KMeansConfig) -> None:
+    """ConfigError naming the setting with which the configured loss could
+    form no negative: a segmented kind needs two segments, and a kind that
+    contrasts channels (``LossKind.channels``) needs two channels."""
+    spec = KINDS[train_cfg.loss_kind]
+    if spec.segmented and kmeans_cfg.target_segments < 2:
+        raise ConfigError(
+            f"loss kind {train_cfg.loss_kind!r} needs target_segments >= 2 so every point "
+            f"has a negative segment, got {kmeans_cfg.target_segments}"
+        )
+    if spec.channels(train_cfg.loss) and train_cfg.embed_dim < 2:
+        raise ConfigError(
+            f"loss kind {train_cfg.loss_kind!r} needs embed_dim >= 2 so every channel "
+            f"has a negative channel, got {train_cfg.embed_dim}"
+        )
+
+
+def _train_step(
+    params: MlpParams,
+    state: OptimState,
+    scenes: list[PointCloud],
+    segments: list[SegmentAssignment],
+    batch: np.ndarray,
+    cfg: TrainConfig,
+    step: int,
+    epoch: int,
+    lr: float,
+) -> tuple[MlpParams, OptimState, float]:
+    """One optimizer step on the scenes that ``batch`` indexes: encode each
+    scene's view pair, evaluate its loss, sum both encoder backwards, then
+    take one Adam step at ``lr`` on the batch-mean gradient. Returns the new
+    parameters and state and the batch-mean loss. Inputs were validated on
+    the way in, so a RangeError here means a non-finite value; it is raised
+    as a DivergenceError naming the step, epoch, scene and lr."""
+    grad_sum: MlpParams | None = None
+    loss_sum = 0.0
+    try:
+        for sidx in batch.tolist():
+            view1, view2 = make_view_pair(
+                scenes[sidx], cfg.augment, derive_seed(cfg.seed, _TAG_VIEWS, epoch, sidx)
+            )
+            emb1, cache1 = encoder_forward(params, view1)
+            emb2, cache2 = encoder_forward(params, view2)
+            neg_rng = substream(cfg.seed, _TAG_NEG, epoch, sidx)
+            out = contrast(cfg.loss_kind, emb1, emb2, segments[sidx], cfg.loss, neg_rng)
+            if not math.isfinite(out.value):
+                raise RangeError(f"loss value is {out.value}")
+            g = encoder_backward(params, cache1, out.grad_f1).zip_map(
+                encoder_backward(params, cache2, out.grad_f2), np.add
+            )
+            loss_sum += out.value
+            grad_sum = g if grad_sum is None else grad_sum.zip_map(g, np.add)
+        inv = 1.0 / len(batch)
+        params, state = adam_step(
+            params, grad_sum.map(lambda a: a * inv), state, lr,
+            cfg.beta1, cfg.beta2, cfg.adam_eps,
+        )
+        # the one finiteness scan per step: a non-finite gradient or
+        # moment always reaches the updated parameters
+        params.require_finite()
+    except RangeError as exc:
+        raise DivergenceError(
+            f"training diverged at step {step} (epoch {epoch}, scene {sidx}, "
+            f"lr {lr:g}): {exc}"
+        ) from exc
+    return params, state, loss_sum * inv
+
+
 def pretrain(
     scenes: list[PointCloud],
     train_cfg: TrainConfig,
@@ -189,13 +260,14 @@ def pretrain(
 ) -> tuple[MlpParams, list[tuple[int, int, float, float]]]:
     """Pre-train the encoder; returns final parameters and the loss history.
 
-    History rows are (step, epoch, loss, lr), one per optimizer step; with
-    batch_size > 1 the loss is the batch mean and gradients are averaged
-    before the update.
+    Each epoch shuffles the scenes into batches of ``batch_size`` and takes
+    one :func:`_train_step` per batch. History rows are (step, epoch, loss,
+    lr), one per optimizer step, with the batch-mean loss.
     """
     if not scenes:
         raise RangeError("pretraining needs at least one scene")
-    segments: list[SegmentAssignment] = [kmeans_segments(s, kmeans_cfg) for s in scenes]
+    _check_negatives(train_cfg, kmeans_cfg)
+    segments = [kmeans_segments(s, kmeans_cfg) for s in scenes]
 
     params = encoder_init(
         INPUT_DIM, train_cfg.hidden, train_cfg.embed_dim,
@@ -203,56 +275,18 @@ def pretrain(
     )
     state = optim_init(params)
 
-    batches_per_epoch = math.ceil(len(scenes) / train_cfg.batch_size)
-    total_steps = train_cfg.epochs * batches_per_epoch
+    total_steps = train_cfg.epochs * math.ceil(len(scenes) / train_cfg.batch_size)
     history: list[tuple[int, int, float, float]] = []
-    step = 0
     for epoch in range(train_cfg.epochs):
         order = substream(train_cfg.seed, _TAG_SHUFFLE, epoch).permutation(len(scenes))
         for start in range(0, len(scenes), train_cfg.batch_size):
-            batch = order[start : start + train_cfg.batch_size]
-            grad_sum: MlpParams | None = None
-            loss_sum = 0.0
+            step = len(history)
             lr = _scheduled_lr(train_cfg.base_lr, train_cfg.lr_schedule, step, total_steps)
-            # scenes and settings were validated on the way in, so a RangeError
-            # here means a non-finite embedding, loss, gradient or parameter
-            try:
-                for sidx in batch:
-                    sidx = int(sidx)
-                    pair = make_view_pair(
-                        scenes[sidx], train_cfg.augment,
-                        derive_seed(train_cfg.seed, _TAG_VIEWS, epoch, sidx),
-                    )
-                    emb1, cache1 = encoder_forward(params, pair.view1)
-                    emb2, cache2 = encoder_forward(params, pair.view2)
-                    neg_rng = substream(train_cfg.seed, _TAG_NEG, epoch, sidx)
-                    out = contrast(
-                        train_cfg.loss_kind, emb1, emb2, segments[sidx],
-                        train_cfg.loss, neg_rng,
-                    )
-                    if not math.isfinite(out.value):
-                        raise RangeError(f"loss value is {out.value}")
-                    g = encoder_backward(params, cache1, out.grad_f1).zip_map(
-                        encoder_backward(params, cache2, out.grad_f2), np.add
-                    )
-                    loss_sum += out.value
-                    grad_sum = g if grad_sum is None else grad_sum.zip_map(g, np.add)
-                inv = 1.0 / len(batch)
-                grads = grad_sum.map(lambda a: a * inv)
-                params, state = adam_step(
-                    params, grads, state, lr,
-                    train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps,
-                )
-                # the one finiteness scan per step: a non-finite gradient or
-                # moment always reaches the updated parameters
-                params.require_finite()
-            except RangeError as exc:
-                raise DivergenceError(
-                    f"training diverged at step {step} (epoch {epoch}, scene {sidx}, "
-                    f"lr {lr:g}): {exc}"
-                ) from exc
-            history.append((step, epoch, loss_sum * inv, lr))
-            step += 1
+            params, state, loss = _train_step(
+                params, state, scenes, segments, order[start : start + train_cfg.batch_size],
+                train_cfg, step, epoch, lr,
+            )
+            history.append((step, epoch, loss, lr))
     return params, history
 
 

@@ -90,10 +90,14 @@ class TestBenchLoss:
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(sizes=[200, 100]), r"sizes must be a non-empty ascending list, got \[200, 100\]"),
-        (dict(sizes=[100, 200], repeats=2), "repeats must be >= 3, got 2"),
+        (dict(sizes=[100, 200], repeats=2, measure=True), "repeats must be >= 3, got 2"),
         (dict(sizes=[8], byte_budget=0), "byte budget must be positive, got 0"),
         (dict(sizes=[8], byte_budget=-1048576), "byte budget must be positive, got -1048576"),
     ])
     def test_bad_arguments_are_config_errors(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
-            bench_loss("pc", measure=False, **kwargs)
+            bench_loss("pc", **{"measure": False, **kwargs})
+
+    def test_count_only_run_ignores_repeats(self):
+        report = bench_loss("ag", [8], m=4, repeats=2, measure=False)
+        assert [(r.n, r.wall_time_s) for r in report.rows] == [(8, 0.0)]

@@ -50,6 +50,22 @@ class TestConfigResolution:
         monkeypatch.setenv("EPC_SEED", "1234")
         assert RunConfig.resolve().seed == 1234
 
+    @pytest.mark.parametrize("source, where", [
+        ("file", "{path}:2: "), ("env", "EPC_SEED: "), ("set", "--set: "),
+    ])
+    def test_bad_value_names_its_source(self, monkeypatch, tmp_path, source, where):
+        path = tmp_path / "bad.cfg"
+        path.write_text("# line 1\nseed = two\n")
+        if source == "env":
+            monkeypatch.setenv("EPC_SEED", "two")
+        with pytest.raises(ConfigError) as err:
+            RunConfig.resolve(path if source == "file" else None,
+                              ["seed=two"] if source == "set" else ())
+        assert str(err.value) == (
+            where.format(path=path)
+            + "config key 'seed': invalid literal for int() with base 10: 'two'"
+        )
+
     def test_paper_default_values(self):
         cfg = RunConfig.resolve()
         assert cfg.values["loss.tau"] == 1.0
@@ -218,6 +234,10 @@ class TestCommands:
         ("segment --in {t}/none.epcc --out {t}/seg.txt --set kmeans.tol=nan", "error: tol must"),
         ("pretrain --data {t}/none --out {t}/x.epck --set loss.tau=nan", "error: tau must"),
         ("probe --ckpt {t}/none.epck --data {t}/none --set probe.lr=inf", "error: lr must"),
+        ("pretrain --data {t}/none --out {t}/x.epck --loss ag --set kmeans.segments=1",
+         "error: loss kind 'ag' needs target_segments >= 2"),
+        ("pretrain --data {t}/none --out {t}/x.epck --loss cc --set encoder.dim=1",
+         "error: loss kind 'cc' needs embed_dim >= 2"),
     ])
     def test_config_is_checked_before_any_file_is_read(self, capsys, tmp_path, argv, message):
         code, _, stderr = run(capsys, *argv.format(t=tmp_path).split())

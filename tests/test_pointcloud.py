@@ -233,24 +233,25 @@ class TestMakeViewPair:
         cloud = random_cloud(rng)
         identity = AugmentParams(scale_min=1.0, scale_max=1.0, rot_max=0.0,
                                  jitter_sigma=0.0, jitter_clip=0.0)
-        pair = make_view_pair(cloud, identity, seed=5)
-        np.testing.assert_array_equal(pair.view1.positions, cloud.positions)
-        np.testing.assert_array_equal(pair.view2.positions, cloud.positions)
+        view1, view2 = make_view_pair(cloud, identity, seed=5)
+        np.testing.assert_array_equal(view1.positions, cloud.positions)
+        np.testing.assert_array_equal(view2.positions, cloud.positions)
 
     def test_preserves_n(self):
         rng = np.random.default_rng(11)
         cloud = random_cloud(rng, n=17)
-        pair = make_view_pair(cloud, AugmentParams(), seed=6)
-        assert pair.view1.n == pair.view2.n == 17
+        view1, view2 = make_view_pair(cloud, AugmentParams(), seed=6)
+        assert view1.n == view2.n == 17
 
     def test_deterministic_and_views_differ(self, tmp_path):
         rng = np.random.default_rng(12)
         cloud = random_cloud(rng)
         a = make_view_pair(cloud, AugmentParams(), seed=7)
         b = make_view_pair(cloud, AugmentParams(), seed=7)
-        for va, vb in ((a.view1, b.view1), (a.view2, b.view2)):
+        for va, vb in zip(a, b):
             pa, pb = tmp_path / "a.epcc", tmp_path / "b.epcc"
             save_binary(va, pa)
             save_binary(vb, pb)
             assert pa.read_bytes() == pb.read_bytes()
-        assert not np.array_equal(a.view1.positions, a.view2.positions)
+        a1, a2 = a
+        assert not np.array_equal(a1.positions, a2.positions)

@@ -22,8 +22,10 @@ from epcontrast import (
 from epcontrast import trainer
 from epcontrast.encoder import encoder_forward
 from epcontrast.errors import ConfigError, DivergenceError, RangeError, UnlabeledSceneError
+from epcontrast.losses import LossConfig
 from epcontrast.pointcloud import AugmentParams
 from epcontrast.rng import derive_seed, substream
+from epcontrast.superpoint import kmeans_segments
 from epcontrast.trainer import _probe_weights, class_palette, optim_init
 
 
@@ -182,10 +184,15 @@ class TestPretrain:
             _, history = pretrain(scenes, cfg, KMeansConfig(target_segments=4))
             assert len(history) == 2
 
-    @pytest.mark.parametrize("kind", ["pc", "ep"])
-    def test_divergence_names_step_epoch_and_scene(self, kind):
+    @pytest.mark.parametrize("kind, batch_size", [
+        pytest.param("pc", 1, id="pc"),
+        pytest.param("ep", 1, id="ep"),
+        pytest.param("pc", 2, id="pc-batch2"),
+        pytest.param("ep", 2, id="ep-batch2"),
+    ])
+    def test_divergence_names_step_epoch_and_scene(self, kind, batch_size):
         scenes = tiny_scenes(count=4)
-        cfg = tiny_train_cfg(epochs=2, base_lr=1e300, loss_kind=kind)
+        cfg = tiny_train_cfg(epochs=2, base_lr=1e300, loss_kind=kind, batch_size=batch_size)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=r"step \d+ \(epoch \d, scene \d,"):
                 pretrain(scenes, cfg, KMeansConfig(target_segments=4))
@@ -193,6 +200,47 @@ class TestPretrain:
     def test_no_scenes_is_a_range_error(self):
         with pytest.raises(RangeError, match="at least one scene"):
             pretrain([], tiny_train_cfg(), KMeansConfig(target_segments=4))
+
+    @pytest.mark.parametrize("kind, lam, segments, dim, setting", [
+        ("ag", 0.1, 1, 6, "target_segments >= 2"),
+        ("ep", 0.0, 1, 6, "target_segments >= 2"),
+        ("cc", 0.1, 4, 1, "embed_dim >= 2"),
+        ("ep", 0.1, 4, 1, "embed_dim >= 2"),
+    ])
+    def test_loss_without_negatives_fails_before_kmeans(
+        self, monkeypatch, kind, lam, segments, dim, setting
+    ):
+        def no_kmeans(*args):
+            raise AssertionError("k-means ran before the settings were checked")
+
+        monkeypatch.setattr(trainer, "kmeans_segments", no_kmeans)
+        cfg = tiny_train_cfg(loss_kind=kind, loss=LossConfig(lam=lam), embed_dim=dim)
+        with pytest.raises(ConfigError, match=f"loss kind '{kind}' needs {setting}"):
+            pretrain(tiny_scenes(count=1), cfg, KMeansConfig(target_segments=segments))
+
+    def test_ep_without_channel_loss_trains_one_channel(self):
+        cfg = tiny_train_cfg(loss=LossConfig(lam=0.0), embed_dim=1)
+        params, history = pretrain(tiny_scenes(count=2), cfg, KMeansConfig(target_segments=4))
+        assert params.weights[-1].shape[0] == 1
+        assert len(history) == 2 and all(np.isfinite(row[2]) for row in history)
+
+    def test_train_step_is_one_step_of_pretrain(self):
+        """From the seeded init, one step on batch [0] of one scene is all
+        that pretrain does in one epoch: the same parameter bytes and the
+        history's loss."""
+        scenes = tiny_scenes(count=1)
+        cfg = tiny_train_cfg()
+        kcfg = KMeansConfig(target_segments=4)
+        params, history = pretrain(scenes, cfg, kcfg)
+        init = encoder_init(9, cfg.hidden, cfg.embed_dim, derive_seed(cfg.seed, 1))
+        stepped, state, loss = trainer._train_step(
+            init, optim_init(init), scenes, [kmeans_segments(scenes[0], kcfg)],
+            np.array([0]), cfg, 0, 0, cfg.base_lr,
+        )
+        assert history == [(0, 0, loss, cfg.base_lr)]
+        assert state.step == 1
+        for a, b in zip(params.weights + params.biases, stepped.weights + stepped.biases):
+            assert a.tobytes() == b.tobytes()
 
     def test_cosine_schedule_decays(self):
         scenes = tiny_scenes(count=4)
