@@ -242,7 +242,11 @@ def save_binary(cloud: PointCloud, path) -> None:
     if has_labels and cloud.labels.max() >= 1 << 32:
         raise RangeError(f"{path}: label {cloud.labels.max()} does not fit EPCC's uint32 labels")
     payload = np.empty((cloud.n, 6), dtype="<f4")
-    payload[:, :3] = cloud.positions
+    with np.errstate(over="ignore"):  # reported just below
+        payload[:, :3] = cloud.positions
+    if not np.isfinite(payload[:, :3]).all():
+        value = cloud.positions[~np.isfinite(payload[:, :3])][0]
+        raise RangeError(f"{path}: position {value:g} does not fit EPCC's float32 payload")
     payload[:, 3:] = cloud.colors
     with open(path, "wb") as fh:
         fh.write(_MAGIC)

@@ -22,7 +22,10 @@ masking to emulate sparse annotation. The probe fits in mixed precision:
 its standardization statistics, merged scene by scene as the training
 scenes are embedded, its master weights and its held-out scoring are
 float64, and its training matrix, logits, softmax and gradient GEMMs are
-float32.
+float32. The matrix is held as cache-sized contiguous column blocks, and
+each gradient step runs its logits, softmax and gradient one block at a
+time while the block is in cache; the softmax takes no column-max shift
+while a bound on the logits keeps exp inside float32's range.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numpy as np
 from .encoder import INPUT_DIM, MlpParams, encoder_backward, encoder_forward, encoder_init
 from .errors import ConfigError, DivergenceError, RangeError, UnlabeledSceneError
 from .losses import KINDS, LossConfig, contrast
+from .numcore import _gemm_row_blocks
 from .pointcloud import AugmentParams, PointCloud, make_view_pair
 from .rng import derive_seed, substream
 from .superpoint import KMeansConfig, SegmentAssignment, kmeans_segments
@@ -313,25 +317,32 @@ class ProbeConfig:
 
 def _probe_matrix(
     params: MlpParams, scenes: list[PointCloud], rows: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The standardized class-major training matrix ``xt`` (d+1, n) in
-    float32, bias row last, and the float64 per-feature mean ``mu`` and
-    divisor ``sd`` (the population std, floored at 1e-8) it was
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The standardized class-major training matrix (d+1, n) in float32, bias
+    row last, as contiguous column blocks, and the float64 per-feature mean
+    ``mu`` and divisor ``sd`` (the population std, floored at 1e-8) it was
     standardized with.
+
+    The blocks are consecutive C-contiguous (d+1, w) arrays cut from one
+    buffer of (d+1)·n floats, their widths those of
+    ``numcore._gemm_row_blocks(n, d + 1)``: cache-sized, and never one
+    column unless n == 1, so no logit GEMM goes to gemv.
 
     Each scene is embedded once; ``rows``, if given, picks the points to
     keep by their index in the concatenated scenes, and the columns follow
     its order. A scene's kept embeddings are merged into running float64
     means and summed squared deviations (Chan, Golub & LeVeque's pairwise
-    update) and written into their float32 columns minus a fixed shift, the
-    mean of the first scene with kept points. The shift keeps the float32
-    rounding relative to the spread of the embeddings rather than to their
-    magnitude. Each feature row is then standardized in place through one
-    float64 scratch row as ``(row - (mu - shift)) / sd``.
+    update) and written into the buffer, point-major, minus a fixed shift,
+    the mean of the first scene with kept points. The shift keeps the
+    float32 rounding relative to the spread of the embeddings rather than
+    to their magnitude. Each block's points are then standardized through
+    one float64 scratch block as ``(x - (mu - shift)) / sd`` and written
+    back over their own bytes, class-major.
     """
     d = params.weights[-1].shape[0]
     n = sum(scene.n for scene in scenes) if rows is None else len(rows)
-    xt = np.empty((d + 1, n), np.float32)
+    buf = np.empty(n * (d + 1), np.float32)
+    points = buf.reshape(n, d + 1)  # point-major until it is standardized
     mu = np.zeros(d)
     m2 = np.zeros(d)
     shift = None
@@ -355,40 +366,79 @@ def _probe_matrix(
             count = total
             if shift is None:
                 shift = x_mu
-            xt[:d, cols] = (x - shift).T
+            points[cols, :d] = x - shift
         del emb, x  # free before the next scene's forward pass
 
     sd = np.maximum(np.sqrt(m2 / n), 1e-8)
     offset = mu - shift
-    row = np.empty(n)
-    for i in range(d):
-        row[...] = xt[i]
-        row -= offset[i]
-        row /= sd[i]
-        xt[i] = row
-    xt[d] = 1.0
-    return xt, mu, sd
+    spans = _gemm_row_blocks(n, d + 1)
+    scratch = np.empty((max(s.stop - s.start for s in spans), d))
+    blocks = []
+    for s in spans:
+        z = scratch[: s.stop - s.start]
+        z[...] = points[s, :d]
+        z -= offset
+        z /= sd
+        block = buf[s.start * (d + 1) : s.stop * (d + 1)].reshape(d + 1, len(z))
+        block[:d] = z.T
+        block[d] = 1.0
+        blocks.append(block)
+    return blocks, mu, sd
+
+
+# The fit exponentiates its float32 logits without a column-max shift while
+# B = max_c sum_i |w32_ci| * max_j |x_ij|, a bound on every |logit|, is below
+# this. Then each e^l lies in [e^-64, e^64] = [1.6e-28, 6.2e27], with room
+# for the GEMM's rounding: a normal float32 (the smallest is e^-87.3), so no
+# softmax denominator is 0, and a sum of K < 5e10 of them stays below
+# float32's largest, e^88.7.
+_PROBE_NO_SHIFT_LIMIT = 64.0
+
+
+def _logit_bound(w32: np.ndarray, xmax: np.ndarray) -> float:
+    """B = max_c sum_i |w32_ci| * xmax_i, in float64: an upper bound on
+    every logit magnitude of ``w32`` on columns whose |x_i| are at most
+    ``xmax``."""
+    return float((np.abs(w32) @ xmax).max())
 
 
 def _probe_weights(
-    xt: np.ndarray, y: np.ndarray, num_classes: int, cfg: ProbeConfig
+    blocks: list[np.ndarray], y: np.ndarray, num_classes: int, cfg: ProbeConfig
 ) -> np.ndarray:
     """Softmax-regression weights (K, d+1) from ``cfg.steps`` full-batch
-    gradient steps on the float32 class-major training matrix ``xt`` (d+1, n).
+    gradient steps on the float32 class-major training matrix, given as the
+    column blocks of :func:`_probe_matrix`.
 
     Mixed precision: the weights are float64 master weights. Each step
-    rounds them to float32 for the logit GEMM; the (K, n) logits, the
-    max-shifted softmax, the true-class subtraction and the gradient GEMM
-    run in float32, and the float32 gradient is scaled and subtracted in
-    float64. DivergenceError names the step and the lr if the rounded
-    weights are not finite; the fit would go on to NaN weights otherwise.
+    rounds them to float32 and walks the blocks while each is in cache: the
+    logit GEMM into one reused (K, w) buffer, exp, the column sum and the
+    divide, the subtraction of the block's float32 one-hot targets (built
+    once; p - 0 is p, so this is the true-class subtraction), and the
+    gradient GEMM ``x @ p.T``, added into a float64 (d+1, K) accumulator,
+    which is scaled and subtracted from the weights in float64. The logits
+    are shifted by their column maximum only when :func:`_logit_bound`
+    reaches _PROBE_NO_SHIFT_LIMIT. DivergenceError names the step and the lr
+    if the rounded weights are not finite; the fit would go on to NaN
+    weights otherwise.
     """
-    n = xt.shape[1]
-    w = np.zeros((num_classes, xt.shape[0]))
+    n = sum(block.shape[1] for block in blocks)
+    onehot = np.zeros(num_classes * n, np.float32)
+    targets = []
+    xmax = np.zeros(blocks[0].shape[0])
+    start = 0
+    for block in blocks:
+        width = block.shape[1]
+        t = onehot[num_classes * start : num_classes * (start + width)]
+        t = t.reshape(num_classes, width)
+        t[y[start : start + width], np.arange(width)] = 1.0
+        targets.append(t)
+        np.maximum(xmax, np.maximum(block.max(axis=1), -block.min(axis=1)), out=xmax)
+        start += width
+
+    w = np.zeros((num_classes, len(xmax)))
     w32 = np.empty(w.shape, np.float32)
-    p = np.empty((num_classes, n), np.float32)
-    # flat indices of each point's true class in p, where P - Y differs from P
-    true_class = y * n + np.arange(n)
+    grad = np.empty((len(xmax), num_classes))
+    logits = np.empty(num_classes * max(block.shape[1] for block in blocks), np.float32)
     inv_n = 1.0 / n
     for step in range(cfg.steps):
         with np.errstate(over="ignore"):  # an overflow is reported just below
@@ -398,12 +448,18 @@ def _probe_weights(
                 f"probe diverged at step {step} (lr {cfg.lr:g}): "
                 "its weights overflow float32"
             )
-        np.matmul(w32, xt, out=p)
-        p -= p.max(axis=0)
-        np.exp(p, out=p)
-        p /= p.sum(axis=0)
-        p.reshape(-1)[true_class] -= 1.0
-        w -= cfg.lr * (xt @ p.T).T.astype(np.float64) * inv_n
+        shifted = _logit_bound(w32, xmax) >= _PROBE_NO_SHIFT_LIMIT
+        grad[...] = 0.0
+        for block, t in zip(blocks, targets):
+            p = logits[: t.size].reshape(t.shape)
+            np.matmul(w32, block, out=p)
+            if shifted:
+                p -= p.max(axis=0)
+            np.exp(p, out=p)
+            p /= p.sum(axis=0)
+            p -= t
+            grad += block @ p.T
+        w -= cfg.lr * grad.T * inv_n
     return w
 
 
@@ -421,13 +477,14 @@ def linear_probe(params: MlpParams, scenes: list[PointCloud], cfg: ProbeConfig) 
     The only large buffers are the float32 class-major training matrix
     (d+1, n), which :func:`_probe_matrix` fills one scene at a time with
     the kept points only while it merges their float64 mean and variance,
-    then standardizes in place, and the fit's float32 (K, n) logits, reused
-    every step: the softmax's max and sum then run over the short class
-    axis K and vectorize along the n points. :func:`_probe_weights` keeps float64
-    master weights and runs its GEMMs and softmax in float32; it raises
-    DivergenceError when the weights overflow float32. The matrix is freed
-    after the fit, and the held-out scenes are embedded, standardized and
-    scored one at a time in float64.
+    then standardizes in place into cache-sized contiguous column blocks,
+    and the fit's float32 (K, n) one-hot targets. :func:`_probe_weights`
+    keeps float64 master weights and runs each step block by block, its
+    GEMMs and softmax in float32 in one reused (K, w) logit block, with no
+    max pass while the logits are bounded; it raises DivergenceError when
+    the weights overflow float32. The matrix is freed after the fit, and
+    the held-out scenes are embedded, standardized and scored one at a time
+    in float64.
     """
     for i, scene in enumerate(scenes):
         if scene.labels is None:
@@ -460,9 +517,9 @@ def linear_probe(params: MlpParams, scenes: list[PointCloud], cfg: ProbeConfig) 
         )
 
     # standardized with training statistics so one fixed lr works across encoders
-    xt, mu, sd = _probe_matrix(params, train_scenes, rows)
-    w = _probe_weights(xt, y_train, len(classes), cfg)
-    del xt
+    blocks, mu, sd = _probe_matrix(params, train_scenes, rows)
+    w = _probe_weights(blocks, y_train, len(classes), cfg)
+    del blocks
 
     d = len(mu)
     correct = 0

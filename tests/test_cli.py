@@ -149,6 +149,14 @@ class TestCommands:
         for fa, fb in zip(sorted(a.glob("*.epcc")), sorted(b.glob("*.epcc"))):
             assert fa.read_bytes() == fb.read_bytes()
 
+    def test_gen_rejects_positions_beyond_float32(self, capsys, tmp_path):
+        out = tmp_path / "scenes"
+        code, _, stderr = run(capsys, "gen", "--out", str(out), "--scenes", "2",
+                              "--set", "scene.extent=1e39")
+        assert code == 1
+        assert "scene_000.epcc: position" in stderr and "does not fit" in stderr
+        assert not any(out.iterdir())
+
     def test_segment_clamps_and_warns(self, capsys, tmp_path):
         scene_dir = tmp_path / "s"
         run(capsys, "gen", "--out", str(scene_dir), "--scenes", "1",

@@ -1,6 +1,8 @@
 """Data model, file formats, and augmentation determinism."""
 
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +130,22 @@ class TestBinaryFormat:
         cloud = PointCloud(np.zeros((2, 3)), np.ones((2, 3)), np.array([1, 2**32 + 5]))
         with pytest.raises(RangeError, match=r"wide\.epcc: label 4294967301"):
             save_binary(cloud, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [1e39, -4e38])
+    def test_position_beyond_float32_rejected_before_the_file_is_opened(self, tmp_path, value):
+        top = tmp_path / "top.epcc"
+        largest = float(np.finfo(np.float32).max)
+        save_binary(PointCloud(np.full((2, 3), -largest), np.ones((2, 3))), top)
+        assert load_binary(top).positions[0, 0] == -largest
+        positions = np.zeros((2, 3))
+        positions[1, 2] = value
+        path = tmp_path / "far.epcc"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            match = re.escape(f"far.epcc: position {value:g} does not fit")
+            with pytest.raises(RangeError, match=match):
+                save_binary(PointCloud(positions, np.ones((2, 3))), path)
         assert not path.exists()
 
     def test_roundtrip_bit_identical_payload(self, tmp_path):

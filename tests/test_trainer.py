@@ -23,6 +23,7 @@ from epcontrast import trainer
 from epcontrast.encoder import encoder_forward
 from epcontrast.errors import ConfigError, DivergenceError, RangeError, UnlabeledSceneError
 from epcontrast.losses import LossConfig
+from epcontrast.numcore import _gemm_row_blocks
 from epcontrast.pointcloud import AugmentParams
 from epcontrast.rng import derive_seed, substream
 from epcontrast.superpoint import kmeans_segments
@@ -461,7 +462,7 @@ def test_class_major_probe_matches_row_major_replica(case, monkeypatch):
     on this convex loss at this lr does not amplify an earlier error, so
     the errors of the ``steps`` steps add at most linearly:
     steps * u * max|w|, 3.6e-6 of the largest weight at 60 steps.
-    Measured: at most 1.63 u * max|w|."""
+    Measured: at most 1.49 u * max|w|."""
     num_classes, fraction, drop = LAYOUT_CASES[case]
     scene_cfg = SyntheticSceneConfig(num_clusters=num_classes, points_per_cluster=15,
                                      color_noise_std=0.2)
@@ -473,18 +474,18 @@ def test_class_major_probe_matches_row_major_replica(case, monkeypatch):
 
     fits = []
 
-    def probe_weights(xt, y, num_classes, cfg):
-        w = _probe_weights(xt, y, num_classes, cfg)
-        fits.append((xt, y, num_classes, w))
+    def probe_weights(blocks, y, num_classes, cfg):
+        w = _probe_weights(blocks, y, num_classes, cfg)
+        fits.append((np.concatenate(blocks, axis=1), y, num_classes, w))
         return w
 
     stats = []
     real_probe_matrix = trainer._probe_matrix
 
     def probe_matrix(params, scenes, rows=None):
-        xt, mu, sd = real_probe_matrix(params, scenes, rows)
+        blocks, mu, sd = real_probe_matrix(params, scenes, rows)
         stats.append((scenes, rows, mu, sd))
-        return xt, mu, sd
+        return blocks, mu, sd
 
     monkeypatch.setattr(trainer, "_probe_weights", probe_weights)
     monkeypatch.setattr(trainer, "_probe_matrix", probe_matrix)
@@ -529,6 +530,110 @@ def test_diverging_probe_is_a_divergence_error():
         linear_probe(params, scenes, ProbeConfig(steps=50, lr=1e300, seed=0))
 
 
+def shifted_reference(xt, y, num_classes, cfg):
+    """Float64 gradient descent with a column-max-shifted softmax on the
+    float32 matrix ``xt`` (d+1, n): the fit _probe_weights rounds."""
+    x = xt.astype(np.float64)
+    n = x.shape[1]
+    onehot = np.zeros((num_classes, n))
+    onehot[y, np.arange(n)] = 1.0
+    w = np.zeros((num_classes, x.shape[0]))
+    for _ in range(cfg.steps):
+        z = w @ x
+        z -= z.max(axis=0)
+        p = np.exp(z)
+        p /= p.sum(axis=0)
+        w -= cfg.lr * ((p - onehot) @ x.T) / n
+    return w
+
+
+def as_blocks(xt):
+    """``xt`` cut into the contiguous column blocks _probe_matrix returns."""
+    return [np.ascontiguousarray(xt[:, s]) for s in _gemm_row_blocks(*xt.shape[::-1])]
+
+
+@pytest.mark.parametrize(
+    "scale, lr, shifts",
+    [(1.0, 1.0, False), (10.0, 1.0, True), (1.0, 100.0, True)],
+    ids=["unit", "scaled-features", "large-lr"],
+)
+def test_probe_shifts_its_logits_only_past_the_bound(scale, lr, shifts, monkeypatch):
+    """The fit takes the column-max shift exactly on the steps whose bound B
+    reaches _PROBE_NO_SHIFT_LIMIT, which unit-scale features at lr 1 never
+    do and features scaled by 10, or an lr of 100, do after the first step.
+    Either way the weights stay finite and match the float64 max-shifted
+    fit within the steps * u * max|w| bound of the layout test. Without
+    the shift the two large cases overflow exp and diverge at step 2."""
+    scene_cfg = SyntheticSceneConfig(num_clusters=6, points_per_cluster=700,
+                                     color_noise_std=0.1)
+    scenes = [generate_scene(scene_cfg, substream(31, i)) for i in range(2)]
+    params = encoder_init(9, 16, 8, seed=31)
+    xt = np.concatenate(trainer._probe_matrix(params, scenes)[0], axis=1)
+    xt[:-1] *= np.float32(scale)
+    y = np.concatenate([s.labels for s in scenes])
+    cfg = ProbeConfig(steps=20, lr=lr)
+    bounds = []
+    real_bound = trainer._logit_bound
+
+    def logit_bound(w32, xmax):
+        bounds.append(real_bound(w32, xmax))
+        return bounds[-1]
+
+    monkeypatch.setattr(trainer, "_logit_bound", logit_bound)
+    blocks = as_blocks(xt)
+    assert len(blocks) == 2
+    w = _probe_weights(blocks, y, 6, cfg)
+    assert len(bounds) == cfg.steps
+    assert bounds[0] == 0.0
+    shifted = [b >= trainer._PROBE_NO_SHIFT_LIMIT for b in bounds]
+    assert shifted == [False] + [shifts] * (cfg.steps - 1)
+    assert np.isfinite(w).all()
+    w_ref = shifted_reference(xt, y, 6, cfg)
+    assert np.abs(w - w_ref).max() <= cfg.steps * F32_U * np.abs(w_ref).max()
+
+
+@pytest.mark.parametrize(
+    "sizes, keep", [((1024,), 1), ((3971,), None), ((1024,) * 32, 33)],
+    ids=["one-column", "two-blocks-and-one", "probe-0.1pct"],
+)
+def test_probe_blocks_tile_the_columns_in_order(sizes, keep):
+    """_probe_matrix's blocks are consecutive C-contiguous (d+1, w) pieces
+    of one buffer with the widths of _gemm_row_blocks(n, d+1), so no block
+    has one column unless n == 1, and side by side they are the
+    standardized matrix in column order. 3971 = 2 * 1985 + 1 columns fold
+    the one-column tail into the second block; 33 of 32768 points is the
+    0.1% desk probe's (33, keep) matrix."""
+    scenes = [
+        generate_scene(SyntheticSceneConfig(num_clusters=1, points_per_cluster=size),
+                       substream(41, i))
+        for i, size in enumerate(sizes)
+    ]
+    params = encoder_init(9, 16, 32, seed=41)
+    rows = None
+    if keep is not None:
+        rows = substream(0, 0).choice(sum(sizes), size=keep, replace=False)
+    blocks, mu, sd = trainer._probe_matrix(params, scenes, rows)
+    n = sum(sizes) if keep is None else keep
+    widths = [s.stop - s.start for s in _gemm_row_blocks(n, 33)]
+    assert [b.shape for b in blocks] == [(33, w) for w in widths]
+    assert all(w >= 2 for w in widths) or n == 1
+    if n == 3971:
+        assert widths == [1985, 1986]
+    base = blocks[0].base
+    address = blocks[0].ctypes.data
+    for block in blocks:
+        assert block.flags.c_contiguous and block.dtype == np.float32
+        assert block.base is base and block.ctypes.data == address
+        address += block.nbytes
+    assert base.nbytes == 33 * n * 4
+    x, shift = kept_embeddings(params, scenes, rows)
+    z = (x - mu) / sd
+    bound = matrix_error_bound(x, shift, mu, sd, mu, sd)
+    xt = np.concatenate(blocks, axis=1)
+    assert np.all(np.abs(xt[:-1].T - z) <= bound)
+    assert np.all(xt[-1] == 1.0)
+
+
 # scenes of uneven size, two of them a single point
 STREAM_SIZES = (1, 40, 7, 300, 1, 96, 23)
 
@@ -563,7 +668,8 @@ def test_streamed_statistics_match_numpy(keep, offset):
         hit = [((rows >= lo) & (rows < hi)).any() for lo, hi in zip(bounds, bounds[1:])]
         assert hit == [False, True, False, True, False, True, False]
 
-    xt, mu, sd = trainer._probe_matrix(params, scenes, rows)
+    blocks, mu, sd = trainer._probe_matrix(params, scenes, rows)
+    xt = np.concatenate(blocks, axis=1)
     x, shift = kept_embeddings(params, scenes, rows)
     mu_ref, sd_ref = x.mean(axis=0), np.maximum(x.std(axis=0), 1e-8)
     tol = 64 * np.finfo(np.float64).eps * np.abs(x).mean(axis=0)
@@ -620,12 +726,12 @@ class TestProbeData:
 
 class TestProbeMemory:
     """The probe's only large buffers are the float32 (d+1, n) training
-    matrix and the fit's float32 (K, n) logits, next to one scene's forward
-    pass. With few labels kept, the matrix is (d+1, keep) and the peak is
-    one forward pass and the held-out labels, plus that small matrix and
-    8 KiB of index arrays, statistics and array headers. Peaks are
-    tracemalloc's, beyond the inputs, at 16 scenes of 1024 points, 12 of
-    them for training."""
+    matrix and the fit's float32 (K, n) one-hot targets, next to one
+    scene's forward pass. With few labels kept, the matrix is (d+1, keep)
+    and the peak is one forward pass and the held-out labels, plus that
+    small matrix and 8 KiB of index arrays, statistics and array headers.
+    Peaks are tracemalloc's, beyond the inputs, at 16 scenes of 1024
+    points, 12 of them for training."""
 
     @staticmethod
     def peak_bytes(fn):
@@ -651,14 +757,17 @@ class TestProbeMemory:
         bound = 33 * n * 4 + 8 * n * 4 + self.forward
         assert self.peak_bytes(lambda: linear_probe(self.params, self.scenes, cfg)) <= bound
 
-    def test_fit_peak_is_float32_logits_and_the_true_class_index(self):
-        # the index is y * n + arange(n): three int64 arrays while it is built
-        xt, _, _ = trainer._probe_matrix(self.params, self.scenes[:12])
+    def test_fit_peak_is_the_one_hot_and_one_logit_block(self):
+        # beside them: one block's column sums, the buffer numpy's iterator
+        # takes for the broadcast divide (getbufsize() float32s), and 8 KiB
+        # of weights, gradient, bounds and array headers
+        blocks, _, _ = trainer._probe_matrix(self.params, self.scenes[:12])
         y = np.concatenate([s.labels for s in self.scenes[:12]])
         n = 12 * 1024
-        bound = 8 * n * 4 + 3 * n * 8 + (8 << 10)
+        w = max(block.shape[1] for block in blocks)
+        bound = 8 * n * 4 + 8 * w * 4 + w * 4 + np.getbufsize() * 4 + (8 << 10)
         cfg = ProbeConfig(steps=5, seed=0)
-        assert self.peak_bytes(lambda: _probe_weights(xt, y, 8, cfg)) <= bound
+        assert self.peak_bytes(lambda: _probe_weights(blocks, y, 8, cfg)) <= bound
 
     def test_few_labels_peak_is_one_forward_and_the_held_out_labels(self):
         cfg = ProbeConfig(steps=5, label_fraction=0.001, seed=0)
