@@ -17,8 +17,7 @@ pairs, and a median gap beyond the base's quartile distance). Comparing a
 revision with itself is an A/A control: it shows how far two trees of the
 same code read apart.
 
-Standard library only; the clones are removed when the runs end unless
-``--keep`` is given.
+Standard library only; the clones are removed when the runs end.
 """
 
 from __future__ import annotations
@@ -123,7 +122,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--scratch", type=Path, help="parent of the clones (default: a temp dir)")
-    parser.add_argument("--keep", action="store_true", help="keep the clones")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
 
@@ -155,8 +153,7 @@ def main(argv=None) -> int:
                       f"{s['change_quartiles'][1]:.4g}, wins {s['wins']}/{s['pairs']}, "
                       f"clears {s['clears']}")
     finally:
-        if not args.keep:
-            shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
     return 0
 
 

@@ -547,11 +547,6 @@ def shifted_reference(xt, y, num_classes, cfg):
     return w
 
 
-def as_blocks(xt):
-    """``xt`` cut into the contiguous column blocks _probe_matrix returns."""
-    return [np.ascontiguousarray(xt[:, s]) for s in _gemm_row_blocks(*xt.shape[::-1])]
-
-
 @pytest.mark.parametrize(
     "scale, lr, shifts",
     [(1.0, 1.0, False), (10.0, 1.0, True), (1.0, 100.0, True)],
@@ -580,7 +575,8 @@ def test_probe_shifts_its_logits_only_past_the_bound(scale, lr, shifts, monkeypa
         return bounds[-1]
 
     monkeypatch.setattr(trainer, "_logit_bound", logit_bound)
-    blocks = as_blocks(xt)
+    # cut as _probe_matrix cuts its matrix
+    blocks = [np.ascontiguousarray(xt[:, s]) for s in _gemm_row_blocks(len(y), len(xt))]
     assert len(blocks) == 2
     w = _probe_weights(blocks, y, 6, cfg)
     assert len(bounds) == cfg.steps
