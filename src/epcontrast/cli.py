@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -213,10 +214,20 @@ def _cmd_gen(args) -> int:
     _print_config(cfg)
     scene_cfg = cfg.build(SyntheticSceneConfig)
     out = Path(args.out)
+    created = None  # the outermost directory this command makes, if any
+    for d in (out, *out.parents):
+        if d.exists():
+            break
+        created = d
     out.mkdir(parents=True, exist_ok=True)
-    for i in range(args.scenes):
-        cloud = generate_scene(scene_cfg, substream(cfg.seed, i))
-        save_binary(cloud, out / f"scene_{i:03d}.epcc")
+    try:
+        for i in range(args.scenes):
+            cloud = generate_scene(scene_cfg, substream(cfg.seed, i))
+            save_binary(cloud, out / f"scene_{i:03d}.epcc")
+    except BaseException:
+        if created is not None:  # an --out that existed is left as it was
+            shutil.rmtree(created, ignore_errors=True)
+        raise
     print(f"wrote {args.scenes} scenes to {out}")
     return 0
 

@@ -5,7 +5,11 @@ centroid-centered xyz scaled to the unit bounding box, the point's rgb,
 and the scene-mean rgb (the one piece of scene context). The encoder runs
 any chained stack :class:`MlpParams` accepts, ReLU after every layer but
 the linear last one; :func:`encoder_init` builds two hidden layers.
-Forward caches pre-activations so the backward pass is exact.
+Forward caches each layer's input, that is the features and every hidden
+layer's output, and nothing else: a ReLU output is positive exactly where
+its pre-activation is, so the backward pass masks by the outputs and stays
+exact. :func:`encoder_embed` runs the same layers on given features and
+caches nothing.
 
 Checkpoints use the EPCK layout: magic ``EPCK``, uint32-LE version (=1),
 uint32-LE layer count, then per layer fan_out and fan_in as uint32-LE
@@ -24,6 +28,7 @@ import numpy as np
 from .errors import (
     CacheError, ConfigError, FormatError, PayloadLengthError, RangeError, ShapeError,
 )
+from .numcore import _col_extremes
 from .pointcloud import PointCloud
 from .rng import substream
 
@@ -104,13 +109,34 @@ def encoder_init(d_in: int, hidden: int, c_out: int, seed: int) -> MlpParams:
 
 def encoder_features(cloud: PointCloud) -> np.ndarray:
     """N x 9 input features; see the module docstring."""
-    pos = cloud.positions
-    centered = pos - pos.mean(axis=0)
-    extent = float(np.max(pos.max(axis=0) - pos.min(axis=0)))
+    pos, colors = cloud.positions, cloud.colors
+    x = np.empty((cloud.n, INPUT_DIM))
+    np.subtract(pos, pos.mean(axis=0), out=x[:, :3])
+    lo, hi = _col_extremes(pos)
+    extent = float(np.max(hi - lo))
     if extent > 0.0:
-        centered = centered / extent
-    mean_rgb = np.broadcast_to(cloud.colors.mean(axis=0), cloud.colors.shape)
-    return np.hstack([centered, cloud.colors, mean_rgb])
+        x[:, :3] /= extent
+    x[:, 3:6] = colors
+    x[:, 6:] = colors.mean(axis=0)
+    return x
+
+
+def _layers(params: MlpParams, x: np.ndarray, cache: list | None) -> np.ndarray:
+    """The (N x C) embedding of the features ``x``. Each hidden layer runs its
+    GEMM into a new array and adds its bias and takes its ReLU in place; its
+    output is appended to ``cache`` unless that is None."""
+    if x.shape[1] != params.weights[0].shape[1]:
+        raise ShapeError(
+            f"encoder expects input dim {params.weights[0].shape[1]}, features have {x.shape[1]}"
+        )
+    h = x
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = h @ w.T
+        h += b
+        np.maximum(h, 0.0, out=h)
+        if cache is not None:
+            cache.append(h)
+    return h @ params.weights[-1].T + params.biases[-1]
 
 
 def encoder_forward(
@@ -118,48 +144,50 @@ def encoder_forward(
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Embed every point; returns (N x C embedding, activation cache).
 
-    The cache is (x, z1, a1, ..., z_{L-1}, a_{L-1}): the input, then each
-    hidden layer's pre-activation and output.
+    The cache is (x, a1, ..., a_{L-1}): the input, then each hidden layer's
+    output, that is each layer's input.
     """
     x = encoder_features(cloud)
-    if x.shape[1] != params.weights[0].shape[1]:
-        raise ShapeError(
-            f"encoder expects input dim {params.weights[0].shape[1]}, features have {x.shape[1]}"
-        )
     cache = [x]
-    h = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = h @ w.T + b
-        h = np.maximum(z, 0.0)
-        cache += [z, h]
-    out = h @ params.weights[-1].T + params.biases[-1]
-    return out, tuple(cache)
+    return _layers(params, x, cache), tuple(cache)
+
+
+def encoder_embed(params: MlpParams, features: np.ndarray) -> np.ndarray:
+    """Embed the rows of ``features`` (from :func:`encoder_features`) with no
+    activation cache: each hidden output is freed once the next layer has
+    read it."""
+    return _layers(params, features, None)
 
 
 def encoder_backward(
     params: MlpParams, cache: tuple[np.ndarray, ...], grad_embedding: np.ndarray
 ) -> MlpParams:
-    """Exact parameter gradients for a cached forward pass."""
+    """Exact parameter gradients for a cached forward pass.
+
+    A hidden layer's gradient is masked where its output a_l is not
+    positive. a_l = max(z_l, 0) is positive exactly where z_l is (a zero, a
+    negative zero or a NaN pre-activation gives no positive output), so the
+    mask is the pre-activation's. It is applied in place.
+    """
     layers = len(params.weights)
-    if len(cache) != 2 * layers - 1:
+    if len(cache) != layers:
         raise CacheError(
-            f"cache must hold {2 * layers - 1} arrays for {layers} layers, got {len(cache)}"
+            f"cache must hold {layers} arrays for {layers} layers, got {len(cache)}"
         )
-    inputs, pre = cache[0::2], cache[1::2]
-    n = inputs[0].shape[0]
+    n = cache[0].shape[0]
     if (
-        any(a.shape != (n, w.shape[1]) for a, w in zip(inputs, params.weights))
-        or any(z.shape != (n, w.shape[0]) for z, w in zip(pre, params.weights))
+        any(a.shape != (n, w.shape[1]) for a, w in zip(cache, params.weights))
         or grad_embedding.shape != (n, params.weights[-1].shape[0])
     ):
         raise CacheError("cache shapes do not match these parameters (stale cache?)")
     dz = grad_embedding
     dws, dbs = [], []
     for layer in reversed(range(layers)):
-        dws.append(dz.T @ inputs[layer])
+        dws.append(dz.T @ cache[layer])
         dbs.append(dz.sum(axis=0))
         if layer:
-            dz = (dz @ params.weights[layer]) * (pre[layer - 1] > 0.0)
+            dz = dz @ params.weights[layer]
+            dz *= cache[layer] > 0.0
     return MlpParams._derived(tuple(dws[::-1]), tuple(dbs[::-1]))
 
 

@@ -8,7 +8,9 @@ row-block budgets of the loss kernels and of the superpoint assignment
 live here, as does the eps-floored L2 normalization of rows, forward and
 backward, that the point and segment losses use; the channel loss takes
 only the eps-floored column norms. :func:`_segment_sums` is the one
-per-segment sum, shared by segment pooling and the k-means centroid update.
+per-segment sum, shared by segment pooling and the k-means centroid update,
+and :func:`_col_extremes` the one per-axis minimum and maximum, shared by
+the encoder's and the segmenter's position features.
 """
 
 from __future__ import annotations
@@ -104,3 +106,18 @@ def _segment_sums(ids: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     for j in range(x.shape[1]):
         sums[:, j] = np.bincount(ids, x[:, j], minlength=m)
     return sums
+
+
+def _col_extremes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column minimum and maximum of the narrow (N, D) ``m``.
+
+    They are reduced along the rows of a (D, N) copy: numpy 2.4's axis-0 min
+    and max of an (N, 3) array took about 70 µs together at N = 1024,
+    against 9 µs for the copy and both row reductions. A minimum or maximum
+    is the same whatever the order it is taken in, up to the sign of a zero
+    extreme, so these are the values of ``m.min(axis=0)`` and
+    ``m.max(axis=0)``. Sums and means are not: their bytes depend on the
+    order, so they stay on the rows.
+    """
+    cols = m.T.copy()
+    return cols.min(axis=1), cols.max(axis=1)

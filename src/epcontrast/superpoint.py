@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, PartitionError, ShapeError
-from .numcore import _gemm_row_blocks, _segment_sums
+from .numcore import _col_extremes, _gemm_row_blocks, _segment_sums
 from .pointcloud import PointCloud
 from .rng import substream
 
@@ -90,8 +90,8 @@ def segment_features(cloud: PointCloud, color_weight: float) -> np.ndarray:
     axis (max == min) maps to 0.5 for every point.
     """
     pos = cloud.positions
-    lo = pos.min(axis=0)
-    span = pos.max(axis=0) - lo
+    lo, hi = _col_extremes(pos)
+    span = hi - lo
     normed = np.divide(pos - lo, span, out=np.full_like(pos, 0.5), where=span != 0.0)
     return np.hstack([normed, cloud.colors * color_weight])
 
@@ -241,6 +241,7 @@ def lloyd_kmeans(
     xa[:, :dim] = features
     xa[:, dim] = 1.0
     labels = np.empty(n, dtype=np.int64)
+    resid = np.empty((n, dim))
     history: list[float] = []
     for _ in range(max_iters):
         _assign(xa, centers, labels)
@@ -248,9 +249,17 @@ def lloyd_kmeans(
         _repair_empty(labels, counts, features, centers)
         new_centers = _segment_sums(labels, features, m)
         new_centers /= counts[:, None]
-        shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
+        # the ops of np.linalg.norm(new_centers - centers, axis=1): its bytes
+        moved = new_centers - centers
+        np.square(moved, out=moved)
+        shift = float(np.max(np.sqrt(np.add.reduce(moved, axis=1))))
         centers = new_centers
-        history.append(float(np.sum((features - centers[labels]) ** 2)))
+        # (features - centers[labels]) ** 2 in one reused buffer; labels
+        # are in range, and "clip" takes without the copy "raise" makes
+        np.take(centers, labels, axis=0, out=resid, mode="clip")
+        np.subtract(features, resid, out=resid)
+        np.square(resid, out=resid)
+        history.append(float(np.sum(resid)))
         if shift < tol:
             break
     return labels, centers, history

@@ -36,7 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import INPUT_DIM, MlpParams, encoder_backward, encoder_forward, encoder_init
+from .encoder import (
+    INPUT_DIM, MlpParams, encoder_backward, encoder_embed, encoder_features, encoder_forward,
+    encoder_init,
+)
 from .errors import ConfigError, DivergenceError, RangeError, UnlabeledSceneError
 from .losses import KINDS, LossConfig, contrast
 from .numcore import _gemm_row_blocks
@@ -328,12 +331,17 @@ def _probe_matrix(
     ``numcore._gemm_row_blocks(n, d + 1)``: cache-sized, and never one
     column unless n == 1, so no logit GEMM goes to gemv.
 
-    Each scene is embedded once; ``rows``, if given, picks the points to
-    keep by their index in the concatenated scenes, and the columns follow
-    its order. A scene's kept embeddings are merged into running float64
-    means and summed squared deviations (Chan, Golub & LeVeque's pairwise
-    update) and written into the buffer, point-major, minus a fixed shift,
-    the mean of the first scene with kept points. The shift keeps the
+    Without ``rows`` each scene is embedded whole by ``encoder_forward``.
+    ``rows``, if given, picks the points to keep by their index in the
+    concatenated scenes, and the columns follow its order: each scene's
+    ``encoder_features`` are taken from the whole scene, and only its kept
+    rows go through the MLP, by ``encoder_embed``. A GEMM over a few rows
+    can round differently from one over the whole scene, so a kept
+    embedding may differ from the whole scene's in its last bits. A
+    scene's kept embeddings are merged into running float64 means and
+    summed squared deviations (Chan, Golub & LeVeque's pairwise update) and
+    written into the buffer, point-major, minus a fixed shift, the mean of
+    the first scene with kept points. The shift keeps the
     float32 rounding relative to the spread of the embeddings rather than
     to their magnitude. Each block's points are then standardized through
     one float64 scratch block as ``(x - (mu - shift)) / sd`` and written
@@ -349,13 +357,12 @@ def _probe_matrix(
     count = 0
     start = 0
     for scene in scenes:
-        emb = encoder_forward(params, scene)[0]
         stop = start + scene.n
         if rows is None:
-            cols, x = slice(start, stop), emb
+            cols, x = slice(start, stop), encoder_forward(params, scene)[0]
         else:
             cols = (rows >= start) & (rows < stop)
-            x = emb[rows[cols] - start]
+            x = encoder_embed(params, encoder_features(scene)[rows[cols] - start])
         start = stop
         if len(x):
             x_mu = x.mean(axis=0)
@@ -367,7 +374,7 @@ def _probe_matrix(
             if shift is None:
                 shift = x_mu
             points[cols, :d] = x - shift
-        del emb, x  # free before the next scene's forward pass
+        del x  # free before the next scene's forward pass
 
     sd = np.maximum(np.sqrt(m2 / n), 1e-8)
     offset = mu - shift
@@ -411,15 +418,16 @@ def _probe_weights(
 
     Mixed precision: the weights are float64 master weights. Each step
     rounds them to float32 and walks the blocks while each is in cache: the
-    logit GEMM into one reused (K, w) buffer, exp, the column sum and the
-    divide, the subtraction of the block's float32 one-hot targets (built
-    once; p - 0 is p, so this is the true-class subtraction), and the
-    gradient GEMM ``x @ p.T``, added into a float64 (d+1, K) accumulator,
-    which is scaled and subtracted from the weights in float64. The logits
-    are shifted by their column maximum only when :func:`_logit_bound`
-    reaches _PROBE_NO_SHIFT_LIMIT. DivergenceError names the step and the lr
-    if the rounded weights are not finite; the fit would go on to NaN
-    weights otherwise.
+    logit GEMM into one reused (K, w) buffer, exp, the column sum into one
+    reused (w,) buffer and the divide, row by row, since numpy's broadcast
+    divide takes an iterator buffer on every call; then the subtraction of
+    the block's float32 one-hot targets (built once; p - 0 is p, so this is
+    the true-class subtraction), and the gradient GEMM ``x @ p.T``, added
+    into a float64 (d+1, K) accumulator, which is scaled and subtracted from
+    the weights in float64. The logits are shifted by their column maximum
+    only when :func:`_logit_bound` reaches _PROBE_NO_SHIFT_LIMIT.
+    DivergenceError names the step and the lr if the rounded weights are not
+    finite; the fit would go on to NaN weights otherwise.
     """
     n = sum(block.shape[1] for block in blocks)
     onehot = np.zeros(num_classes * n, np.float32)
@@ -438,7 +446,9 @@ def _probe_weights(
     w = np.zeros((num_classes, len(xmax)))
     w32 = np.empty(w.shape, np.float32)
     grad = np.empty((len(xmax), num_classes))
-    logits = np.empty(num_classes * max(block.shape[1] for block in blocks), np.float32)
+    widest = max(block.shape[1] for block in blocks)
+    logits = np.empty(num_classes * widest, np.float32)
+    colsum = np.empty(widest, np.float32)
     inv_n = 1.0 / n
     for step in range(cfg.steps):
         with np.errstate(over="ignore"):  # an overflow is reported just below
@@ -456,7 +466,10 @@ def _probe_weights(
             if shifted:
                 p -= p.max(axis=0)
             np.exp(p, out=p)
-            p /= p.sum(axis=0)
+            cs = colsum[: t.shape[1]]
+            np.add.reduce(p, axis=0, out=cs)
+            for row in p:
+                row /= cs
             p -= t
             grad += block @ p.T
         w -= cfg.lr * grad.T * inv_n
@@ -476,8 +489,9 @@ def linear_probe(params: MlpParams, scenes: list[PointCloud], cfg: ProbeConfig) 
 
     The only large buffers are the float32 class-major training matrix
     (d+1, n), which :func:`_probe_matrix` fills one scene at a time with
-    the kept points only while it merges their float64 mean and variance,
-    then standardizes in place into cache-sized contiguous column blocks,
+    the kept points only (under a label fraction, only those are run
+    through the MLP) while it merges their float64 mean and variance, then
+    standardizes in place into cache-sized contiguous column blocks,
     and the fit's float32 (K, n) one-hot targets. :func:`_probe_weights`
     keeps float64 master weights and runs each step block by block, its
     GEMMs and softmax in float32 in one reused (K, w) logit block, with no

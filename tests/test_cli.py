@@ -155,7 +155,20 @@ class TestCommands:
                               "--set", "scene.extent=1e39")
         assert code == 1
         assert "scene_000.epcc: position" in stderr and "does not fit" in stderr
-        assert not any(out.iterdir())
+        assert not out.exists()
+
+    def test_failed_gen_removes_only_directories_it_created(self, capsys, tmp_path):
+        out = tmp_path / "new" / "scenes"
+        code, _, _ = run(capsys, "gen", "--out", str(out), "--scenes", "1",
+                         "--set", "scene.extent=1e39")
+        assert code == 1 and not (tmp_path / "new").exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("mine")
+        code, _, _ = run(capsys, "gen", "--out", str(kept), "--scenes", "1",
+                         "--set", "scene.extent=1e39")
+        assert code == 1
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
 
     def test_segment_clamps_and_warns(self, capsys, tmp_path):
         scene_dir = tmp_path / "s"

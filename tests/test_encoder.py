@@ -16,7 +16,7 @@ from epcontrast import (
     point_infonce,
     save_checkpoint,
 )
-from epcontrast.encoder import encoder_features
+from epcontrast.encoder import encoder_embed, encoder_features
 from epcontrast.errors import (
     CacheError, ConfigError, FormatError, PayloadLengthError, RangeError, ShapeError,
 )
@@ -181,8 +181,62 @@ class TestBackward:
         with pytest.raises(CacheError):
             encoder_backward(big, cache, np.zeros((cloud.n, 4)))
         deeper = MlpParams(small.weights + (np.eye(4),), small.biases + (np.zeros(4),))
-        with pytest.raises(CacheError, match="7 arrays for 4 layers"):
+        with pytest.raises(CacheError, match="4 arrays for 4 layers, got 3"):
             encoder_backward(deeper, cache, np.zeros((cloud.n, 4)))
+
+
+def pre_activation_backward(params, x, pre, grad_embedding):
+    """Reference: the backward pass as written when the cache held every
+    pre-activation, masking each hidden layer by ``z > 0``."""
+    inputs = [x] + [np.maximum(z, 0.0) for z in pre]
+    dz = grad_embedding
+    dws, dbs = [], []
+    for layer in reversed(range(len(params.weights))):
+        dws.append(dz.T @ inputs[layer])
+        dbs.append(dz.sum(axis=0))
+        if layer:
+            dz = (dz @ params.weights[layer]) * (pre[layer - 1] > 0.0)
+    return dws[::-1] + dbs[::-1]
+
+
+class TestOutputCache:
+    def test_cache_holds_layer_inputs_and_embed_matches_forward(self):
+        rng = np.random.default_rng(11)
+        cloud = random_cloud(rng, n=64)
+        params = encoder_init(9, 16, 8, seed=11)
+        emb, cache = encoder_forward(params, cloud)
+        x = encoder_features(cloud)
+        assert len(cache) == 3 and cache[0].tobytes() == x.tobytes()
+        assert encoder_embed(params, x).tobytes() == emb.tobytes()
+
+    def test_output_masks_equal_pre_activation_masks(self):
+        """A hidden layer with zero weight rows (exact zero pre-activations),
+        then pre-activations set to +0.0, -0.0 and the smallest subnormals:
+        masking by the ReLU output gives the gradients of masking by z > 0,
+        byte for byte, and the forward's cache is max(z, 0)."""
+        rng = np.random.default_rng(12)
+        cloud = random_cloud(rng, n=40)
+        base = encoder_init(9, 6, 4, seed=12)
+        w1, b1 = base.weights[0].copy(), base.biases[0].copy()
+        w1[:2] = 0.0
+        b1[:2] = (0.0, -0.0)
+        params = MlpParams((w1,) + base.weights[1:], (b1,) + base.biases[1:])
+        x = encoder_features(cloud)
+        z1 = x @ w1.T + b1
+        _, cache = encoder_forward(params, cloud)
+        assert cache[1].tobytes() == np.maximum(z1, 0.0).tobytes()
+        assert np.all(z1[:, :2] == 0.0)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324])
+        z1[:, 2] = np.resize(special, len(z1))
+        z2 = np.maximum(z1, 0.0) @ params.weights[1].T + params.biases[1]
+        z2[::3, 0] = -0.0
+        assert np.signbit(z1[1, 2]) and np.signbit(z2[0, 0])
+        cache = (x, np.maximum(z1, 0.0), np.maximum(z2, 0.0))
+        upstream = rng.normal(size=(cloud.n, 4))
+        grads = encoder_backward(params, cache, upstream)
+        ref = pre_activation_backward(params, x, (z1, z2), upstream)
+        for got, want in zip(grads.weights + grads.biases, ref):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestCheckpoint:

@@ -63,3 +63,13 @@ class TestRowBlocks:
                 assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
                 assert min(sizes) >= 2 or n == 1
                 assert max(sizes) <= step + 1
+
+
+def test_col_extremes_are_the_axis_zero_reductions():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7, 1024):
+        m = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-3, 4, size=3)
+        m[rng.integers(n, size=n // 3)] = m[0]  # ties
+        lo, hi = numcore._col_extremes(m)
+        assert lo.tobytes() == m.min(axis=0).tobytes()
+        assert hi.tobytes() == m.max(axis=0).tobytes()

@@ -211,6 +211,32 @@ class TestLloydKernels:
         expected = np.argmin(x @ (-2.0 * centers).T + np.sum(centers**2, axis=1), axis=1)
         np.testing.assert_array_equal(labels, expected)
 
+    @pytest.mark.parametrize("m, tol", [(7, 1e-4), (40, 1e-4), (40, 0.0)])
+    def test_loop_replicates_norm_and_fresh_temporaries(self, m, tol):
+        """The objective from one reused buffer and the shift from norm's own
+        ops give the bytes, and the stopping step, of Lloyd's loop written
+        with np.linalg.norm and fresh (N, D) temporaries."""
+        feats = segment_features(random_scene(substream(836, m), 300), 1.0)
+        got = lloyd_kmeans(feats, m, 30, tol, substream(837, m))
+        rng = substream(837, m)
+        centers = _kmeans_pp_init(feats, m, rng)
+        xa = np.hstack([feats, np.ones((len(feats), 1))])
+        labels = np.empty(len(feats), dtype=np.int64)
+        history = []
+        for _ in range(30):
+            _assign(xa, centers, labels)
+            counts = np.bincount(labels, minlength=m)
+            superpoint._repair_empty(labels, counts, feats, centers)
+            new_centers = numcore._segment_sums(labels, feats, m) / counts[:, None]
+            shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
+            centers = new_centers
+            history.append(float(np.sum((feats - centers[labels]) ** 2)))
+            if shift < tol:
+                break
+        assert got[2] == history and (tol == 0.0 or len(history) < 30)
+        assert got[0].tobytes() == labels.tobytes()
+        assert got[1].tobytes() == centers.tobytes()
+
     def test_gemm_row_blocks_never_leave_one_row(self):
         for n in range(1, 40):
             for row_len in (1, 10, 1 << 20):

@@ -19,8 +19,8 @@ from epcontrast import (
     linear_probe,
     pretrain,
 )
-from epcontrast import trainer
-from epcontrast.encoder import encoder_forward
+from epcontrast import encoder, trainer
+from epcontrast.encoder import encoder_embed, encoder_features, encoder_forward
 from epcontrast.errors import ConfigError, DivergenceError, RangeError, UnlabeledSceneError
 from epcontrast.losses import LossConfig
 from epcontrast.numcore import _gemm_row_blocks
@@ -417,17 +417,23 @@ F32_U = 2.0**-24
 def kept_embeddings(params, scenes, rows=None):
     """The float64 embeddings that _probe_matrix keeps from ``scenes``, in
     its column order, and the shift it writes them under: the mean of the
-    kept points of the first scene that has any."""
-    embs = [encoder_forward(params, s)[0] for s in scenes]
-    x = np.vstack(embs)
-    rows = np.arange(len(x)) if rows is None else rows
-    bounds = np.cumsum([0] + [len(e) for e in embs])
-    shift = next(
-        emb[mine - lo].mean(axis=0)
-        for emb, lo, hi in zip(embs, bounds, bounds[1:])
-        if len(mine := rows[(rows >= lo) & (rows < hi)])
-    )
-    return x[rows], shift
+    kept points of the first scene that has any. As in _probe_matrix, the
+    kept rows of each scene's features go through the MLP, in ``rows``
+    order, or whole scenes when ``rows`` is None: a GEMM over fewer rows
+    can round differently."""
+    if rows is None:
+        embs = [encoder_forward(params, s)[0] for s in scenes]
+        return np.vstack(embs), embs[0].mean(axis=0)
+    bounds = np.cumsum([0] + [s.n for s in scenes])
+    embs = [
+        encoder_embed(params, encoder_features(s)[rows[(rows >= lo) & (rows < hi)] - lo])
+        for s, lo, hi in zip(scenes, bounds, bounds[1:])
+    ]
+    order = np.argsort(np.concatenate(
+        [np.flatnonzero((rows >= lo) & (rows < hi)) for lo, hi in zip(bounds, bounds[1:])]
+    ))
+    shift = next(emb.mean(axis=0) for emb in embs if len(emb))
+    return np.vstack(embs)[order], shift
 
 
 def matrix_error_bound(x, shift, mu, sd, mu_ref, sd_ref):
@@ -700,18 +706,44 @@ class TestProbeData:
 
     @pytest.mark.parametrize("fraction", [1.0, 0.05])
     def test_each_scene_is_embedded_once(self, monkeypatch, fraction):
+        """Each scene's features are taken once, whether by encoder_forward
+        or by the probe itself under a label fraction."""
         seen = []
-        real_forward = trainer.encoder_forward
+        real_features = encoder.encoder_features
 
-        def encoder_forward(params, scene):
+        def encoder_features(scene):
             seen.append(id(scene))
-            return real_forward(params, scene)
+            return real_features(scene)
 
-        monkeypatch.setattr(trainer, "encoder_forward", encoder_forward)
+        monkeypatch.setattr(encoder, "encoder_features", encoder_features)
+        monkeypatch.setattr(trainer, "encoder_features", encoder_features)
         scenes = tiny_scenes(count=6, clusters=3, ppc=10)
         params = encoder_init(9, 8, 6, seed=3)
         linear_probe(params, scenes, ProbeConfig(steps=5, label_fraction=fraction, seed=0))
         assert sorted(seen) == sorted(id(s) for s in scenes)
+
+    def test_label_fraction_embeds_only_the_kept_points(self, monkeypatch):
+        """Under a label fraction the MLP runs on exactly the kept training
+        points, and encoder_forward sees only the held-out scenes."""
+        forwarded, embedded = [], []
+        real_forward, real_embed = trainer.encoder_forward, trainer.encoder_embed
+
+        def encoder_forward(params, scene):
+            forwarded.append(id(scene))
+            return real_forward(params, scene)
+
+        def encoder_embed(params, features):
+            embedded.append(len(features))
+            return real_embed(params, features)
+
+        monkeypatch.setattr(trainer, "encoder_forward", encoder_forward)
+        monkeypatch.setattr(trainer, "encoder_embed", encoder_embed)
+        scenes = tiny_scenes(count=8, clusters=3, ppc=40)
+        params = encoder_init(9, 8, 6, seed=3)
+        cfg = ProbeConfig(steps=5, label_fraction=0.05, holdout_fraction=0.25, seed=0)
+        linear_probe(params, scenes, cfg)
+        assert sum(embedded) == round(0.05 * 6 * 120) and len(embedded) == 6
+        assert sorted(forwarded) == sorted(id(s) for s in scenes[6:])
 
     def test_holdout_leaving_no_training_scenes_is_a_config_error(self):
         scenes = tiny_scenes(count=2, clusters=3, ppc=10)
@@ -754,14 +786,17 @@ class TestProbeMemory:
         assert self.peak_bytes(lambda: linear_probe(self.params, self.scenes, cfg)) <= bound
 
     def test_fit_peak_is_the_one_hot_and_one_logit_block(self):
-        # beside them: one block's column sums, the buffer numpy's iterator
-        # takes for the broadcast divide (getbufsize() float32s), and 8 KiB
-        # of weights, gradient, bounds and array headers
+        # beside them: one reused block of column sums and 16 KiB of
+        # weights, gradient, bounds, small temporaries and array headers
+        # (13.4 KB measured). No block allocates a block's worth: the
+        # broadcast divide p /= p.sum(axis=0) took an iterator buffer of
+        # getbufsize() float32s (32 KiB) and the sums on every block.
         blocks, _, _ = trainer._probe_matrix(self.params, self.scenes[:12])
         y = np.concatenate([s.labels for s in self.scenes[:12]])
         n = 12 * 1024
         w = max(block.shape[1] for block in blocks)
-        bound = 8 * n * 4 + 8 * w * 4 + w * 4 + np.getbufsize() * 4 + (8 << 10)
+        assert len(blocks) > 1 and np.getbufsize() * 4 > (16 << 10)
+        bound = 8 * n * 4 + 8 * w * 4 + w * 4 + (16 << 10)
         cfg = ProbeConfig(steps=5, seed=0)
         assert self.peak_bytes(lambda: _probe_weights(blocks, y, 8, cfg)) <= bound
 
