@@ -11,11 +11,12 @@ slow spell of the host falls on both sides alike. The output file holds
 both commits and their ``src`` tree hashes, every reading of every
 end-to-end metric (``host_ref_s`` among them), and for each metric that
 ``BENCHMARK.json`` gates: the change's wins out of the pairs, the median
-gap (the change's median minus the base's), each side's quartiles, and
+gap (the change's median minus the base's), each side's quartiles,
 whether the change clears the claim rule (better in at least nine of ten
-pairs, and a median gap beyond the base's quartile distance). Comparing a
-revision with itself is an A/A control: it shows how far two trees of the
-same code read apart.
+pairs, and a median gap beyond the base's quartile distance), and the
+no-regression verdict against the metric's ``bound`` (``summarize``).
+Comparing a revision with itself is an A/A control: it shows how far two
+trees of the same code read apart.
 
 Standard library only; the clones are removed when the runs end.
 """
@@ -43,16 +44,28 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q2, q3]
 
 
-def summarize(base: list[float], change: list[float], better: str) -> dict:
+def summarize(base: list[float], change: list[float], better: str, bound: float) -> dict:
     """Pairwise wins of ``change`` over ``base`` (readings of one metric,
     pair by pair), the median gap and both sides' quartiles. ``better`` is
     "lower" or "higher". The change clears the claim rule when it is better
     in at least 90% of the pairs and its median is better than the base's
-    by more than the base's interquartile distance."""
+    by more than the base's interquartile distance.
+
+    Against the metric's relative no-regression ``bound``, the verdict is
+    "unresolved" when the base's interquartile distance is wider than the
+    bound (relative to the base's median) and not every change run beats
+    every base run; otherwise "within_bound" when the change's median is
+    worse than the base's by at most the bound, and "worse_than_bound" when
+    it is worse by more."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
     qb, qc = quartiles(base), quartiles(change)
     gap = qc[1] - qb[1]
+    limit = bound * abs(qb[1])
+    if qb[2] - qb[0] > limit and not all(sign * (b - c) > 0 for b in base for c in change):
+        verdict = "unresolved"
+    else:
+        verdict = "within_bound" if sign * gap <= limit else "worse_than_bound"
     return {
         "wins": wins,
         "pairs": len(base),
@@ -61,6 +74,7 @@ def summarize(base: list[float], change: list[float], better: str) -> dict:
         "base_quartiles": qb,
         "change_quartiles": qc,
         "clears": wins >= 0.9 * len(base) and -sign * gap > qb[2] - qb[0],
+        "verdict": verdict,
     }
 
 
@@ -140,7 +154,8 @@ def main(argv=None) -> int:
                 args.pairs,
             )
             summary = {m["name"]: summarize(column(readings, "base", m["name"]),
-                                            column(readings, "change", m["name"]), m["better"])
+                                            column(readings, "change", m["name"]), m["better"],
+                                            m["bound"])
                        for m in spec["end_to_end"]}
             summary["host_ref_s"] = {side: quartiles(column(readings, side, "host_ref_s"))
                                      for side in SIDES}
@@ -151,7 +166,7 @@ def main(argv=None) -> int:
                 s = summary[name]
                 print(f"seed {seed} {name}: base {s['base_quartiles'][1]:.4g} -> change "
                       f"{s['change_quartiles'][1]:.4g}, wins {s['wins']}/{s['pairs']}, "
-                      f"clears {s['clears']}")
+                      f"clears {s['clears']}, {s['verdict']}")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return 0

@@ -213,6 +213,8 @@ def _cmd_gen(args) -> int:
     cfg = RunConfig.resolve(args.config, args.set)
     _print_config(cfg)
     scene_cfg = cfg.build(SyntheticSceneConfig)
+    if args.scenes < 1:
+        raise ConfigError(f"--scenes must be >= 1, got {args.scenes}")
     out = Path(args.out)
     created = None  # the outermost directory this command makes, if any
     for d in (out, *out.parents):

@@ -5,11 +5,11 @@ centroid-centered xyz scaled to the unit bounding box, the point's rgb,
 and the scene-mean rgb (the one piece of scene context). The encoder runs
 any chained stack :class:`MlpParams` accepts, ReLU after every layer but
 the linear last one; :func:`encoder_init` builds two hidden layers.
-Forward caches each layer's input, that is the features and every hidden
-layer's output, and nothing else: a ReLU output is positive exactly where
-its pre-activation is, so the backward pass masks by the outputs and stays
-exact. :func:`encoder_embed` runs the same layers on given features and
-caches nothing.
+:func:`encoder_forward`, the training forward, caches each layer's input
+(the features and every hidden layer's output) and nothing else: a ReLU
+output is positive exactly where its pre-activation is, so the backward
+pass masks by the outputs and stays exact. :func:`encoder_embed`, which
+evaluation uses, runs the same layers on given features and caches nothing.
 
 Checkpoints use the EPCK layout: magic ``EPCK``, uint32-LE version (=1),
 uint32-LE layer count, then per layer fan_out and fan_in as uint32-LE

@@ -226,14 +226,13 @@ def _loaded_cloud(path, positions, colors, labels) -> PointCloud:
 
 
 def save_ascii(cloud: PointCloud, path) -> None:
-    """Write a cloud in the ASCII format with full float precision."""
+    """Write a cloud in the ASCII format, each float as its shortest exact repr."""
+    rows = np.hstack([cloud.positions, cloud.colors]).tolist()
+    if cloud.labels is not None:
+        for row, label in zip(rows, cloud.labels.tolist()):
+            row.append(label)
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(cloud.n):
-            fields = [repr(float(v)) for v in cloud.positions[i]]
-            fields += [repr(float(v)) for v in cloud.colors[i]]
-            if cloud.labels is not None:
-                fields.append(str(int(cloud.labels[i])))
-            fh.write(" ".join(fields) + "\n")
+        fh.writelines(" ".join(map(repr, row)) + "\n" for row in rows)
 
 
 def save_binary(cloud: PointCloud, path) -> None:

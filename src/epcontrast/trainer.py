@@ -331,14 +331,14 @@ def _probe_matrix(
     ``numcore._gemm_row_blocks(n, d + 1)``: cache-sized, and never one
     column unless n == 1, so no logit GEMM goes to gemv.
 
-    Without ``rows`` each scene is embedded whole by ``encoder_forward``.
-    ``rows``, if given, picks the points to keep by their index in the
-    concatenated scenes, and the columns follow its order: each scene's
-    ``encoder_features`` are taken from the whole scene, and only its kept
-    rows go through the MLP, by ``encoder_embed``. A GEMM over a few rows
-    can round differently from one over the whole scene, so a kept
-    embedding may differ from the whole scene's in its last bits. A
-    scene's kept embeddings are merged into running float64 means and
+    Each scene's ``encoder_features`` are taken from the whole scene, and
+    ``encoder_embed`` runs the MLP on all of its rows, which fill the
+    scene's column slice, or, if ``rows`` is given, on its kept rows only:
+    ``rows`` picks the points to keep by their index in the concatenated
+    scenes, and the columns follow its order. A GEMM over a few rows can
+    round differently from one over the whole scene, so a kept embedding
+    may differ from the whole scene's in its last bits. A scene's kept
+    embeddings are merged into running float64 means and
     summed squared deviations (Chan, Golub & LeVeque's pairwise update) and
     written into the buffer, point-major, minus a fixed shift, the mean of
     the first scene with kept points. The shift keeps the
@@ -358,11 +358,9 @@ def _probe_matrix(
     start = 0
     for scene in scenes:
         stop = start + scene.n
-        if rows is None:
-            cols, x = slice(start, stop), encoder_forward(params, scene)[0]
-        else:
-            cols = (rows >= start) & (rows < stop)
-            x = encoder_embed(params, encoder_features(scene)[rows[cols] - start])
+        cols = slice(start, stop) if rows is None else (rows >= start) & (rows < stop)
+        features = encoder_features(scene)
+        x = encoder_embed(params, features if rows is None else features[rows[cols] - start])
         start = stop
         if len(x):
             x_mu = x.mean(axis=0)
@@ -374,7 +372,7 @@ def _probe_matrix(
             if shift is None:
                 shift = x_mu
             points[cols, :d] = x - shift
-        del x  # free before the next scene's forward pass
+        del x, features  # free before the next scene's embedding
 
     sd = np.maximum(np.sqrt(m2 / n), 1e-8)
     offset = mu - shift
@@ -484,9 +482,10 @@ def linear_probe(params: MlpParams, scenes: list[PointCloud], cfg: ProbeConfig) 
     points, drawn from the training point count alone. The labels present
     in all the scenes are mapped to dense class ids 0..K-1, so K is the
     number of distinct labels, not the largest label plus one. Classes
-    never seen by the probe are warned about and their held-out points
-    counted as errors.
+    never seen by the probe (two bincounts find them) are warned about and
+    their held-out points counted as errors.
 
+    Every scene is embedded by ``encoder_embed``, with no activation cache.
     The only large buffers are the float32 class-major training matrix
     (d+1, n), which :func:`_probe_matrix` fills one scene at a time with
     the kept points only (under a label fraction, only those are run
@@ -521,8 +520,8 @@ def linear_probe(params: MlpParams, scenes: list[PointCloud], cfg: ProbeConfig) 
     y_eval = dense[n_train:].copy()
     del dense
 
-    seen = np.unique(y_train)
-    missing = np.setdiff1d(np.unique(y_eval), seen)
+    trained = np.bincount(y_train, minlength=len(classes)) > 0
+    missing = np.flatnonzero(~trained & (np.bincount(y_eval, minlength=len(classes)) > 0))
     if missing.size:
         warnings.warn(
             f"classes {classes[missing].tolist()} absent from probe training; "
@@ -539,16 +538,13 @@ def linear_probe(params: MlpParams, scenes: list[PointCloud], cfg: ProbeConfig) 
     correct = 0
     start = 0
     for scene in eval_scenes:
-        emb = encoder_forward(params, scene)[0]
         x = np.empty((scene.n, d + 1))
-        np.subtract(emb, mu, out=x[:, :d])
+        np.subtract(encoder_embed(params, encoder_features(scene)), mu, out=x[:, :d])
         x[:, :d] /= sd
         x[:, d] = 1.0
         y = y_eval[start : start + scene.n]
-        hit = np.argmax(x @ w.T, axis=1) == y
-        if missing.size:
-            hit &= ~np.isin(y, missing)
+        hit = (np.argmax(x @ w.T, axis=1) == y) & trained[y]  # a missing class never hits
         correct += int(np.count_nonzero(hit))
         start += scene.n
-        del emb, x  # free before the next scene's forward pass
+        del x  # free before the next scene's embedding
     return correct / len(y_eval)

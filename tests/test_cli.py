@@ -157,6 +157,14 @@ class TestCommands:
         assert "scene_000.epcc: position" in stderr and "does not fit" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", ["-2", "0"])
+    def test_gen_rejects_a_scene_count_below_one(self, capsys, tmp_path, count):
+        out = tmp_path / "scenes"
+        code, stdout, stderr = run(capsys, "gen", "--out", str(out), "--scenes", count)
+        assert code == 1
+        assert f"--scenes must be >= 1, got {count}" in stderr and "wrote" not in stdout
+        assert not out.exists()
+
     def test_failed_gen_removes_only_directories_it_created(self, capsys, tmp_path):
         out = tmp_path / "new" / "scenes"
         code, _, _ = run(capsys, "gen", "--out", str(out), "--scenes", "1",

@@ -68,6 +68,33 @@ class TestAsciiFormat:
         np.testing.assert_allclose(back.colors, cloud.colors, atol=1e-9)
         np.testing.assert_array_equal(back.labels, cloud.labels)
 
+    def test_text_is_each_shortest_repr_then_the_label(self, tmp_path):
+        positions = np.array([[0.1, -2.5, 1e-300], [3.0, 1e22, -0.0]])
+        colors = np.array([[0.1, 0.2, 0.3], [1.0, 0.0, 0.5]])
+        path = tmp_path / "pin.txt"
+        save_ascii(PointCloud(positions, colors, np.array([2**32, 0])), path)
+        assert path.read_text() == (
+            "0.1 -2.5 1e-300 0.1 0.2 0.3 4294967296\n3.0 1e+22 -0.0 1.0 0.0 0.5 0\n"
+        )
+        save_ascii(PointCloud(positions, colors), path)
+        assert path.read_text() == "0.1 -2.5 1e-300 0.1 0.2 0.3\n3.0 1e+22 -0.0 1.0 0.0 0.5\n"
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_roundtrip_is_exact(self, tmp_path, labeled):
+        rng = np.random.default_rng(4)
+        cloud = random_cloud(rng, labeled=labeled)
+        if labeled:  # labels beyond EPCC's uint32, which the ASCII format keeps
+            cloud = PointCloud(cloud.positions, cloud.colors, cloud.labels + 2**40)
+        path = tmp_path / "rt.txt"
+        save_ascii(cloud, path)
+        back = load_ascii(path)
+        assert back.positions.tobytes() == cloud.positions.tobytes()
+        assert back.colors.tobytes() == cloud.colors.tobytes()
+        if labeled:
+            assert back.labels.tobytes() == cloud.labels.tobytes()
+        else:
+            assert back.labels is None
+
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 0 0 1 1 1\n0 0 nope 1 1\n")

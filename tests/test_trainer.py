@@ -1,7 +1,12 @@
 """Scene generation, the optimizer, pretraining bookkeeping, and the probe."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,7 +427,7 @@ def kept_embeddings(params, scenes, rows=None):
     order, or whole scenes when ``rows`` is None: a GEMM over fewer rows
     can round differently."""
     if rows is None:
-        embs = [encoder_forward(params, s)[0] for s in scenes]
+        embs = [encoder_embed(params, encoder_features(s)) for s in scenes]
         return np.vstack(embs), embs[0].mean(axis=0)
     bounds = np.cumsum([0] + [s.n for s in scenes])
     embs = [
@@ -722,28 +727,69 @@ class TestProbeData:
         linear_probe(params, scenes, ProbeConfig(steps=5, label_fraction=fraction, seed=0))
         assert sorted(seen) == sorted(id(s) for s in scenes)
 
-    def test_label_fraction_embeds_only_the_kept_points(self, monkeypatch):
-        """Under a label fraction the MLP runs on exactly the kept training
-        points, and encoder_forward sees only the held-out scenes."""
+    @pytest.mark.parametrize("fraction", [1.0, 0.05])
+    def test_label_fraction_embeds_only_the_kept_points(self, monkeypatch, fraction):
+        """The probe never calls encoder_forward: encoder_embed sees exactly
+        the kept rows of each training scene's features, in draw order (all
+        of them at 1.0), and each held-out scene's features whole."""
         forwarded, embedded = [], []
-        real_forward, real_embed = trainer.encoder_forward, trainer.encoder_embed
+        real_embed = trainer.encoder_embed
 
         def encoder_forward(params, scene):
             forwarded.append(id(scene))
-            return real_forward(params, scene)
 
         def encoder_embed(params, features):
-            embedded.append(len(features))
+            embedded.append(features.copy())
             return real_embed(params, features)
 
         monkeypatch.setattr(trainer, "encoder_forward", encoder_forward)
         monkeypatch.setattr(trainer, "encoder_embed", encoder_embed)
         scenes = tiny_scenes(count=8, clusters=3, ppc=40)
         params = encoder_init(9, 8, 6, seed=3)
-        cfg = ProbeConfig(steps=5, label_fraction=0.05, holdout_fraction=0.25, seed=0)
+        cfg = ProbeConfig(steps=5, label_fraction=fraction, holdout_fraction=0.25, seed=0)
         linear_probe(params, scenes, cfg)
-        assert sum(embedded) == round(0.05 * 6 * 120) and len(embedded) == 6
-        assert sorted(forwarded) == sorted(id(s) for s in scenes[6:])
+        assert forwarded == []
+        n_train = 6 * 120
+        rows = np.arange(n_train)
+        if fraction < 1.0:
+            rows = substream(0, 0).choice(n_train, size=round(fraction * n_train), replace=False)
+        bounds = np.arange(0, n_train + 1, 120)
+        expected = [
+            encoder_features(s)[rows[(rows >= lo) & (rows < hi)] - lo]
+            for s, lo, hi in zip(scenes[:6], bounds, bounds[1:])
+        ] + [encoder_features(s) for s in scenes[6:]]
+        assert len(embedded) == len(expected)
+        for got, want in zip(embedded, expected):
+            np.testing.assert_array_equal(got, want)
+
+    def test_probe_leaves_numpy_ma_unloaded(self):
+        """A probe that warns about a class absent from training, at both
+        label fractions, imports no numpy.ma in a fresh interpreter: plain
+        np.unique and np.setdiff1d import it, at about 1 MB of RSS."""
+        script = textwrap.dedent("""
+            import sys, warnings
+            import numpy as np
+            from epcontrast import PointCloud, ProbeConfig, SyntheticSceneConfig
+            from epcontrast import encoder_init, generate_scene, linear_probe
+            from epcontrast.rng import substream
+            cfg = SyntheticSceneConfig(num_clusters=3, points_per_cluster=10)
+            scenes = [generate_scene(cfg, substream(0, i)) for i in range(4)]
+            scenes[:3] = [PointCloud(s.positions[s.labels != 2], s.colors[s.labels != 2],
+                                     s.labels[s.labels != 2]) for s in scenes[:3]]
+            params = encoder_init(9, 8, 6, seed=5)
+            for fraction in (1.0, 0.3):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    linear_probe(params, scenes, ProbeConfig(steps=5, label_fraction=fraction))
+                assert any("absent" in str(c.message) for c in caught)
+            print("numpy.ma" in sys.modules)
+        """)
+        src = str(Path(encoder.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_holdout_leaving_no_training_scenes_is_a_config_error(self):
         scenes = tiny_scenes(count=2, clusters=3, ppc=10)
@@ -776,7 +822,8 @@ class TestProbeMemory:
         self.scenes = [generate_scene(cfg, substream(17, i)) for i in range(16)]
         self.params = encoder_init(9, 64, 32, seed=17)
         self.forward = self.peak_bytes(lambda: encoder_forward(self.params, self.scenes[0]))
-        # np.setdiff1d imports numpy.ma (about 1 MB) on its first call
+        # one call first, so one-time allocations stay out of the measured
+        # peaks; the probe imports no numpy.ma (test_probe_leaves_numpy_ma_unloaded)
         linear_probe(self.params, self.scenes[:2], ProbeConfig(steps=1, holdout_fraction=0.5))
 
     def test_full_labels_peak_is_matrix_logits_and_one_forward(self):
