@@ -768,7 +768,6 @@ class TestProbeData:
         np.unique and np.setdiff1d import it, at about 1 MB of RSS."""
         script = textwrap.dedent("""
             import sys, warnings
-            import numpy as np
             from epcontrast import PointCloud, ProbeConfig, SyntheticSceneConfig
             from epcontrast import encoder_init, generate_scene, linear_probe
             from epcontrast.rng import substream
