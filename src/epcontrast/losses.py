@@ -263,39 +263,17 @@ def segment_pool_backward(grad_pooled: np.ndarray, seg: SegmentAssignment) -> np
 
 def _sample_negatives(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """(n, k) key columns: per anchor, k distinct negatives drawn uniformly
-    from the n-1 others.
-
-    Floyd's algorithm run for all anchors at once: slot t draws from the
-    first ``top + 1`` candidates and takes ``top`` itself when the draw is
-    already held, which leaves every k-subset equally likely. All k draws
-    are made first, slot by slot as the loop would make them; a draw is
-    held when it repeats an earlier draw of its row (one sort of each row
-    finds those: the earlier slot took that value or found it held), or
-    when it is the top of an earlier slot that took its top. Only the
-    second test chains from slot to slot, and it concerns few draws.
-    """
+    from the n-1 others by Floyd's algorithm, all anchors at once. Slot t,
+    one contiguous row of n, draws from the first ``top + 1`` candidates
+    and takes ``top`` itself when the draw equals an earlier slot's pick,
+    which leaves every k-subset equally likely."""
     lo = n - 1 - k  # slot t draws from [0, lo + t]; its top is lo + t
-    cols = np.empty((k, n), dtype=np.int64)
+    picks = np.empty((k, n), dtype=np.int64)
     for t in range(k):
-        cols[t] = rng.integers(0, lo + t + 1, size=n)
-    picks = cols.T.copy()
-    bits = k.bit_length()
-    keys = picks << bits
-    keys |= np.arange(k)
-    keys.sort(axis=1)  # by draw, then slot
-    drawn = keys >> bits
-    rows, pos = np.nonzero(drawn[:, 1:] == drawn[:, :-1])
-    held = np.zeros((n, k), dtype=bool)
-    held[rows, keys[rows, pos + 1] & ((1 << bits) - 1)] = True
-    slot, rows = np.nonzero((picks >= lo).T)  # in slot order
-    src = picks[rows, slot] - lo  # the slot whose top was drawn
-    chain = src < slot
-    slot, rows, src = slot[chain], rows[chain], src[chain]
-    starts = np.flatnonzero(np.diff(slot, prepend=-1))
-    for a, b in zip(starts, np.append(starts[1:], slot.size)):
-        held[rows[a:b], slot[a]] |= held[rows[a:b], src[a:b]]
-    rows, slot = np.nonzero(held)
-    picks[rows, slot] = lo + slot
+        draw = rng.integers(0, lo + t + 1, size=n)
+        draw[(picks[:t] == draw).any(axis=0)] = lo + t
+        picks[t] = draw
+    picks = picks.T.copy()  # row-major: the gathers that read it are slower on a view
     picks += picks >= np.arange(n)[:, None]  # skip the anchor itself
     return picks
 

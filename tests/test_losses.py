@@ -511,19 +511,20 @@ class TestSampling:
     def test_sampler_draws_what_the_loop_draws(self):
         # the random stream is part of the determinism contract: same
         # picks and the generator left in the same state
+        sizes = [(n, k) for n in (3, 4, 5, 8, 13, 40, 300)
+                 for k in sorted({1, 2, (n - 1) // 2, n - 3, n - 2}) if 1 <= k < n - 1]
         cases = 0
-        for n in (3, 4, 5, 8, 13, 40, 300):
-            for k in sorted({1, 2, (n - 1) // 2, n - 3, n - 2}):
-                if not 1 <= k < n - 1:
-                    continue
-                for seed in range(6):
-                    ours, theirs = substream(820, n, k, seed), substream(820, n, k, seed)
-                    np.testing.assert_array_equal(
-                        _sample_negatives(n, k, ours), floyd_loop_negatives(n, k, theirs)
-                    )
-                    assert ours.random() == theirs.random()
-                    cases += 1
-        assert cases == 156
+        # and the sizes that run: a desk scene at loss.neg_samples = 31, and
+        # the sampled pc case of the kernels_large workload
+        for n, k in sizes + [(1024, 31), (4000, 64)]:
+            for seed in range(6):
+                ours, theirs = substream(820, n, k, seed), substream(820, n, k, seed)
+                np.testing.assert_array_equal(
+                    _sample_negatives(n, k, ours), floyd_loop_negatives(n, k, theirs)
+                )
+                assert ours.random() == theirs.random()
+                cases += 1
+        assert cases == 168
 
     def test_sampler_draws_distinct_in_range_negatives(self):
         for n, k in ((3, 1), (10, 3), (10, 8), (200, 64)):
