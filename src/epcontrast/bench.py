@@ -144,8 +144,8 @@ def bench_loss(
     medians over ``repeats`` full evaluations (skipped when ``measure`` is
     False). A configuration whose accounted bytes exceed ``byte_budget``
     raises :class:`BudgetError` naming the offending size; unsorted sizes,
-    fewer than 3 repeats of a measured run and a budget that is not
-    positive raise :class:`ConfigError`.
+    fewer than 3 repeats of a measured run, a budget that is not positive
+    and a negative seed raise :class:`ConfigError`.
     """
     _lookup(kind, pairs=True)
     if not sizes or list(sizes) != sorted(sizes):
@@ -154,6 +154,8 @@ def bench_loss(
         raise ConfigError(f"repeats must be >= 3, got {repeats}")
     if byte_budget is not None and byte_budget <= 0:
         raise ConfigError(f"byte budget must be positive, got {byte_budget}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rows = []
     for n in sizes:
         pos, neg = count_pairs(kind, n, m, c)

@@ -81,6 +81,8 @@ class KMeansConfig:
             raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
         if not 0 <= self.color_weight < math.inf:
             raise ConfigError(f"color_weight must be finite and >= 0, got {self.color_weight}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def segment_features(cloud: PointCloud, color_weight: float) -> np.ndarray:

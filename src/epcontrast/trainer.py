@@ -1,8 +1,9 @@
 """Desk-scale pre-training and evaluation.
 
 :func:`pretrain` segments every scene once, from its un-augmented cloud,
-then shuffles the scenes each epoch into batches of ``batch_size`` and
-takes one :func:`_train_step` per batch at the scheduled learning rate.
+when the loss kind reads segments ("ag" and "ep"), then shuffles the
+scenes each epoch into batches of ``batch_size`` and takes one
+:func:`_train_step` per batch at the scheduled learning rate.
 The step draws each scene's two-view augmentation pair, encodes both
 views, evaluates the configured contrastive loss and pushes its gradients
 back through both encoder passes, then takes one bias-corrected
@@ -90,6 +91,8 @@ class TrainConfig:
             )
         if min(self.hidden, self.embed_dim) < 1:
             raise ConfigError("hidden and embed_dim must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,8 @@ class SyntheticSceneConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0 < self.extent < math.inf:
             raise ConfigError(f"extent must be finite and positive, got {self.extent}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def class_palette(num_classes: int) -> np.ndarray:
@@ -213,7 +218,7 @@ def _train_step(
     params: MlpParams,
     state: OptimState,
     scenes: list[PointCloud],
-    segments: list[SegmentAssignment],
+    segments: list[SegmentAssignment | None],
     batch: np.ndarray,
     cfg: TrainConfig,
     step: int,
@@ -274,7 +279,8 @@ def pretrain(
     if not scenes:
         raise RangeError("pretraining needs at least one scene")
     _check_negatives(train_cfg, kmeans_cfg)
-    segments = [kmeans_segments(s, kmeans_cfg) for s in scenes]
+    segmented = KINDS[train_cfg.loss_kind].segmented
+    segments = [kmeans_segments(s, kmeans_cfg) if segmented else None for s in scenes]
 
     params = encoder_init(
         INPUT_DIM, train_cfg.hidden, train_cfg.embed_dim,
@@ -316,6 +322,8 @@ class ProbeConfig:
             raise ConfigError(
                 f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _probe_matrix(

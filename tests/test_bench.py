@@ -93,6 +93,7 @@ class TestBenchLoss:
         (dict(sizes=[100, 200], repeats=2, measure=True), "repeats must be >= 3, got 2"),
         (dict(sizes=[8], byte_budget=0), "byte budget must be positive, got 0"),
         (dict(sizes=[8], byte_budget=-1048576), "byte budget must be positive, got -1048576"),
+        (dict(sizes=[8], seed=-1), "seed must be >= 0, got -1"),
     ])
     def test_bad_arguments_are_config_errors(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):

@@ -96,6 +96,12 @@ class TestSettingsTable:
         for cls in (SyntheticSceneConfig, KMeansConfig, TrainConfig, ProbeConfig):
             assert cfg.build(cls).seed == 7
 
+    @pytest.mark.parametrize("cls", [SyntheticSceneConfig, KMeansConfig, TrainConfig,
+                                     ProbeConfig])
+    def test_negative_seed_is_a_config_error(self, cls):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            RunConfig.resolve(sets=["seed=-1"]).build(cls)
+
     def test_printed_lines_read_back_to_the_same_values(self, capsys, tmp_path):
         sets = ["loss.tau=0.07", "loss.neg_samples=31", "augment.rot_axis=x",
                 "loss.symmetric_ag=yes", "kmeans.tol=1e-06", "scene.points_per_cluster=4"]
@@ -238,6 +244,7 @@ class TestCommands:
         ("--sizes 8 --budget-mb -1", "--budget-mb must be finite and positive, got -1.0"),
         ("--sizes 8 --budget-mb 0", "--budget-mb must be finite and positive, got 0.0"),
         ("--sizes 8 --budget-mb nan", "--budget-mb must be finite and positive, got nan"),
+        ("--sizes 8 --set seed=-1", "seed must be >= 0, got -1"),
     ])
     def test_bad_bench_arguments_are_config_errors(self, capsys, flags, message):
         flags = flags.split()
@@ -267,6 +274,9 @@ class TestCommands:
          "error: loss kind 'ag' needs target_segments >= 2"),
         ("pretrain --data {t}/none --out {t}/x.epck --loss cc --set encoder.dim=1",
          "error: loss kind 'cc' needs embed_dim >= 2"),
+        ("pretrain --data {t}/none --out {t}/x.epck --set seed=-1", "error: seed must be >= 0"),
+        ("gen --out {t}/out --scenes 2 --set seed=-1", "error: seed must be >= 0"),
+        ("probe --ckpt {t}/none.epck --data {t}/none --set seed=-1", "error: seed must be >= 0"),
     ])
     def test_config_is_checked_before_any_file_is_read(self, capsys, tmp_path, argv, message):
         code, _, stderr = run(capsys, *argv.format(t=tmp_path).split())

@@ -24,7 +24,7 @@ from epcontrast import (
     linear_probe,
     pretrain,
 )
-from epcontrast import encoder, trainer
+from epcontrast import encoder, losses, trainer
 from epcontrast.encoder import encoder_embed, encoder_features, encoder_forward
 from epcontrast.errors import ConfigError, DivergenceError, RangeError, UnlabeledSceneError
 from epcontrast.losses import LossConfig
@@ -148,6 +148,7 @@ class TestTrainConfig:
             ("adam_eps", 0.0),
             ("adam_eps", float("inf")),
             ("adam_eps", float("nan")),
+            ("seed", -1),
         ],
     )
     def test_rejects_out_of_domain_optimizer_settings(self, field, value):
@@ -185,10 +186,47 @@ class TestPretrain:
 
     def test_all_loss_kinds_run(self):
         scenes = tiny_scenes(count=2)
-        for kind in ("pc", "ag", "cc", "ep"):
-            cfg = tiny_train_cfg(loss_kind=kind)
+        for kind, loss in (("pc", LossConfig()), ("pc", LossConfig(neg_sample_count=5)),
+                           ("ag", LossConfig()), ("cc", LossConfig()), ("ep", LossConfig())):
+            cfg = tiny_train_cfg(loss_kind=kind, loss=loss)
             _, history = pretrain(scenes, cfg, KMeansConfig(target_segments=4))
             assert len(history) == 2
+
+    def test_sampled_pc_deterministic_under_fixed_seed(self, monkeypatch):
+        # each step draws its scene's negatives from the run's _TAG_NEG stream
+        draws = []
+
+        def counted(n, k, rng):
+            draws.append((n, k))
+            return sample(n, k, rng)
+
+        sample = losses._sample_negatives
+        monkeypatch.setattr(losses, "_sample_negatives", counted)
+        scenes = tiny_scenes()
+        cfg = tiny_train_cfg(epochs=2, loss_kind="pc", loss=LossConfig(neg_sample_count=5))
+        kcfg = KMeansConfig(target_segments=4)
+        p1, h1 = pretrain(scenes, cfg, kcfg)
+        p2, h2 = pretrain(scenes, cfg, kcfg)
+        assert draws == [(72, 5)] * 16
+        assert h1 == h2
+        for a, b in zip(p1.weights + p1.biases, p2.weights + p2.biases):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["pc", "ag", "cc", "ep"])
+    def test_only_segmented_kinds_run_kmeans(self, monkeypatch, kind):
+        scenes = tiny_scenes(count=2)
+        segmented = []
+
+        def counted(scene, kcfg):
+            segmented.append(scene)
+            return kmeans_segments(scene, kcfg)
+
+        monkeypatch.setattr(trainer, "kmeans_segments", counted)
+        _, history = pretrain(scenes, tiny_train_cfg(loss_kind=kind),
+                              KMeansConfig(target_segments=4))
+        assert len(history) == 2
+        want = scenes if trainer.KINDS[kind].segmented else []
+        assert [id(s) for s in segmented] == [id(s) for s in want]
 
     @pytest.mark.parametrize("kind, batch_size", [
         pytest.param("pc", 1, id="pc"),
