@@ -186,21 +186,20 @@ class TestPretrain:
 
     def test_all_loss_kinds_run(self):
         scenes = tiny_scenes(count=2)
-        for kind, loss in (("pc", LossConfig()), ("pc", LossConfig(neg_sample_count=5)),
-                           ("ag", LossConfig()), ("cc", LossConfig()), ("ep", LossConfig())):
-            cfg = tiny_train_cfg(loss_kind=kind, loss=loss)
+        for kind, k in (("pc", None), ("pc", 5), ("ag", None), ("cc", None), ("ep", None)):
+            cfg = tiny_train_cfg(loss_kind=kind, loss=LossConfig(neg_sample_count=k))
             _, history = pretrain(scenes, cfg, KMeansConfig(target_segments=4))
             assert len(history) == 2
 
     def test_sampled_pc_deterministic_under_fixed_seed(self, monkeypatch):
         # each step draws its scene's negatives from the run's _TAG_NEG stream
         draws = []
+        sample = losses._sample_negatives
 
         def counted(n, k, rng):
             draws.append((n, k))
             return sample(n, k, rng)
 
-        sample = losses._sample_negatives
         monkeypatch.setattr(losses, "_sample_negatives", counted)
         scenes = tiny_scenes()
         cfg = tiny_train_cfg(epochs=2, loss_kind="pc", loss=LossConfig(neg_sample_count=5))
