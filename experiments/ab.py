@@ -18,22 +18,46 @@ no-regression verdict against the metric's ``bound`` (``summarize``).
 Comparing a revision with itself is an A/A control: it shows how far two
 trees of the same code read apart.
 
+With ``--cli "ARGS"`` the pairs run the ``epcontrast`` command itself
+(``cli.main``) in each tree instead, under one BLAS thread and with no
+GLIBC_TUNABLES, so each side runs under whatever allocator settings its
+own code makes:
+
+    python3 experiments/ab.py BASE CHANGE --pairs 6 --out AB_16_cli.json \
+        --cli "pretrain --data {data} --out {out} --loss ep \
+               --set kmeans.segments=32 --set train.epochs=2"
+
+``{data}`` stands for a directory of 32 desk scenes that the base tree's
+``gen`` writes once, and ``{out}`` for a fresh file per run, whose sha256
+is recorded. Each run reads its wall and CPU seconds, minor page faults
+and max RSS from the rusage of the child (``os.wait4``: the figures that
+``getrusage(RUSAGE_CHILDREN)`` sums over children), and each is
+summarized as above against the bound of ``pass_s`` (times and faults)
+or ``peak_rss_mb`` (RSS).
+
 Standard library only; the clones are removed when the runs end.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
+import shlex
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+# each --cli reading and the gated metric whose bound it takes
+CLI_METRICS = {"wall_s": "pass_s", "cpu_s": "pass_s", "minor_faults": "pass_s",
+               "max_rss_mb": "peak_rss_mb"}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -113,6 +137,54 @@ def perfbench_reading(tree: Path, workload: str, seed: int, seconds: float) -> d
     return reading
 
 
+def cli_reading(tree: Path, argv: list[str], out: Path | None) -> dict:
+    """One ``epcontrast`` run through ``cli.main`` in ``tree``: its
+    :data:`CLI_METRICS` from the child's rusage, and the sha256 of ``out``
+    when the run wrote it."""
+    env = {k: v for k, v in os.environ.items() if k != "GLIBC_TUNABLES"}
+    env.update(PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    cmd = [sys.executable, "-c", "from epcontrast.cli import main; main()", *argv]
+    start = time.perf_counter()
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            sys.stderr.write(err.read().decode(errors="replace"))
+            raise RuntimeError(f"{shlex.join(cmd)} in {tree} exited with {proc.returncode}")
+    reading = {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
+               "minor_faults": usage.ru_minflt, "max_rss_mb": usage.ru_maxrss / 1024}
+    if out is not None and out.exists():
+        reading["sha256"] = hashlib.sha256(out.read_bytes()).hexdigest()
+        out.unlink()
+    return reading
+
+
+def cli_pairs(trees: dict, args_text: str, pairs: int, scratch: Path, spec: dict) -> dict:
+    """Alternating ``--cli`` runs in both trees, summarized per metric."""
+    if "{data}" in args_text:
+        cli_reading(trees["base"], ["gen", "--out", str(scratch / "data"), "--scenes", "32"],
+                    None)
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    runs = iter(range(2 * pairs))
+
+    def runner(side):
+        out = scratch / f"out_{next(runs)}"
+        argv = [a.format(data=scratch / "data", out=out) for a in shlex.split(args_text)]
+        return cli_reading(trees[side], argv, out)
+
+    readings = run_pairs(runner, pairs)
+    summary = {name: summarize(column(readings, "base", name), column(readings, "change", name),
+                               "lower", bounds[gated])
+               for name, gated in CLI_METRICS.items()}
+    for name, s in summary.items():
+        print(f"{name}: base {s['base_quartiles'][1]:.4g} -> change "
+              f"{s['change_quartiles'][1]:.4g}, wins {s['wins']}/{s['pairs']}, {s['verdict']}")
+    return {"summary": summary, "readings": readings}
+
+
 def clone(rev: str, dest: Path) -> dict:
     """Clone this repository into ``dest`` at ``rev``; the commit and the
     hash of its ``src`` tree."""
@@ -130,7 +202,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("base")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", help="a perfbench workload (or give --cli)")
+    parser.add_argument("--cli", metavar="ARGS", help="epcontrast arguments to run instead")
     parser.add_argument("--seeds", default="0", help="comma-separated, for example 0,7")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25)
@@ -138,6 +211,8 @@ def main(argv=None) -> int:
     parser.add_argument("--scratch", type=Path, help="parent of the clones (default: a temp dir)")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
+    if (args.workload is None) == (args.cli is None):
+        parser.error("give exactly one of --workload and --cli")
 
     scratch = Path(tempfile.mkdtemp(prefix="ab-", dir=args.scratch))
     try:
@@ -145,6 +220,12 @@ def main(argv=None) -> int:
         revs = {side: clone(rev, trees[side])
                 for side, rev in zip(SIDES, (args.base, args.change))}
         spec = json.loads((trees["base"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+        if args.cli is not None:
+            result = {"cli": args.cli, "pairs": args.pairs, "base": revs["base"],
+                      "change": revs["change"],
+                      **cli_pairs(trees, args.cli, args.pairs, scratch, spec)}
+            args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+            return 0
         runs = []
         result = {"workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
                   "base": revs["base"], "change": revs["change"], "runs": runs}

@@ -19,8 +19,10 @@ reads any file.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
+import platform
 import shutil
 import sys
 from dataclasses import fields
@@ -77,7 +79,7 @@ SETTINGS: dict[str, tuple] = {
                               "count the positive pair in the denominator"),
     "loss.reduction": (LossConfig, "reduction", "'mean' over positives or 'sum'"),
     "loss.neg_samples": (LossConfig, "neg_sample_count",
-                         "negatives sampled per anchor for the point loss; 0 = all"),
+                         "point loss on round(sqrt(N*(k+1))) sampled points; 0 = all"),
     "loss.symmetric_ag": (LossConfig, "symmetric_ag",
                           "average both directions of the segment loss"),
     "encoder.hidden": (TrainConfig, "hidden", "hidden width of the per-point MLP"),
@@ -421,6 +423,12 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
+    # the command alone, on glibc and unless GLIBC_TUNABLES is set, keeps freed
+    # memory as the benchmark's tunables do: no heap trim, no mmap'd blocks
+    if platform.libc_ver()[0] == "glibc" and "GLIBC_TUNABLES" not in os.environ:
+        libc = ctypes.CDLL(None)  # the C library the interpreter runs on
+        libc.mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD
+        libc.mallopt(-4, 0)  # M_MMAP_MAX
     sys.exit(cli_main(sys.argv[1:]))
 
 

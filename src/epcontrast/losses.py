@@ -3,7 +3,8 @@
 Three pair schemes share one softmax core:
 
 * point loss — positives are matched point indices (i, i) across the two
-  views, negatives all cross-view pairs (i, j), i != j;
+  views, negatives all cross-view pairs (i, j), i != j; sampled, the same
+  loss on s = round(sqrt(N (k + 1))) points, about N (k + 1) pairs;
 * asymmetric-granularity loss — view-1 points are queries, view-2 segment
   means are keys; the positive for point i is its own segment, negatives
   are all other segments;
@@ -72,8 +73,8 @@ class LossConfig:
 
     ``reduction`` is "sum" (the losses as written) or "mean" (per positive,
     which keeps the learning rate independent of scene size).
-    ``neg_sample_count`` enables per-anchor uniform negative sampling for
-    the point loss; None means full enumeration.
+    ``neg_sample_count`` = k sets the point loss's pair budget, N (k + 1),
+    spent on a subset of round(sqrt(N (k + 1))) points; None means all N.
     """
 
     tau: float = 1.0
@@ -261,21 +262,15 @@ def segment_pool_backward(grad_pooled: np.ndarray, seg: SegmentAssignment) -> np
 # ---------------------------------------------------------------------------
 
 
-def _sample_negatives(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """(n, k) key columns: per anchor, k distinct negatives drawn uniformly
-    from the n-1 others by Floyd's algorithm, all anchors at once. Slot t,
-    one contiguous row of n, draws from the first ``top + 1`` candidates
-    and takes ``top`` itself when the draw equals an earlier slot's pick,
-    which leaves every k-subset equally likely."""
-    lo = n - 1 - k  # slot t draws from [0, lo + t]; its top is lo + t
-    picks = np.empty((k, n), dtype=np.int64)
-    for t in range(k):
-        draw = rng.integers(0, lo + t + 1, size=n)
-        draw[(picks[:t] == draw).any(axis=0)] = lo + t
-        picks[t] = draw
-    picks = picks.T.copy()  # row-major: the gathers that read it are slower on a view
-    picks += picks >= np.arange(n)[:, None]  # skip the anchor itself
-    return picks
+def _point_subset(n: int, k: int | None, rng: np.random.Generator | None):
+    """Sorted indices of s = round(sqrt(n (k + 1))) <= n - 1 of the n points,
+    drawn uniformly from ``rng`` in one call; None, with no draw, when k is
+    None or at least n - 1, where the point loss contrasts every point."""
+    if k is None or k >= n - 1:
+        return None
+    if rng is None:
+        raise ConfigError("negative sampling requires a random stream")
+    return np.sort(rng.choice(n, round(math.sqrt(n * (k + 1))), replace=False, shuffle=False))
 
 
 def _row_norm_max(m):
@@ -283,20 +278,18 @@ def _row_norm_max(m):
     return max(1.0, float(np.sqrt(np.einsum("ij,ij->i", m, m).max())))
 
 
-def _rows_contrast(fq, fk, pos_col, cfg, negatives=None):
+def _rows_contrast(fq, fk, pos_col, cfg):
     """Contrast each query row with the key rows; row i's positive is key
-    ``pos_col[i]``.
+    ``pos_col[i]`` and its negatives are every other key.
 
-    The negatives are every other key, or only the columns ``negatives[i]``
-    when given. Returns the value and the gradients with respect to fq and
-    fk. The queries are walked in row blocks whose score buffer (rows x
-    keys) or gathered key rows (rows x (k + 1) x C, sampled) stay within
-    _BLOCK_BYTES. The scores come from the queries divided by tau once, and
-    the per-anchor terms are reduced once, after the last block.
+    Returns the value and the gradients with respect to fq and fk. The
+    queries are walked in row blocks whose score buffer (rows x keys) stays
+    within _BLOCK_BYTES. The scores come from the queries divided by tau
+    once, and the per-anchor terms are reduced once, after the last block.
 
-    Each full block's buffer is written by the score GEMM, turned into E
-    by the softmax core, and read by the two gradient GEMMs, which take the
-    row scale ``r`` on their (rows x C) side: ``(E @ keys) * r`` for the
+    Each block's buffer is written by the score GEMM, turned into E by the
+    softmax core, and read by the two gradient GEMMs, which take the row
+    scale ``r`` on their (rows x C) side: ``(E @ keys) * r`` for the
     queries and ``(queries * r).T @ E`` for the keys, whose gradient is
     summed over the blocks as C x keys and transposed once at the end.
 
@@ -315,40 +308,21 @@ def _rows_contrast(fq, fk, pos_col, cfg, negatives=None):
     n, c = hq.shape
     terms = np.empty(n)
     ghq = np.empty((n, c))
-    if negatives is None:
-        # both GEMMs with the keys run 3-20% faster, to the same bytes, on a
-        # C-ordered copy of the keys' transpose than on the keys themselves
-        hk_t = np.ascontiguousarray(hk.T)
-        for b in _row_blocks(n, hk.shape[0]):
-            d = sq[b] @ hk_t
-            terms[b], r = _softmax_rows(d, pos_col[b], cfg, bound, n, b.start)
-            ghq[b] = d @ hk_t.T
-            ghq[b] *= r[:, None]
-            part = (hq[b] * r[:, None]).T @ d
-            if b.start == 0:
-                ghk_t = part
-            else:
-                ghk_t += part
-            del d  # free this block's buffer before the next one is allocated
-        ghk = np.ascontiguousarray(ghk_t.T)
-    else:
-        # column 0 is the positive, so the key gradient is one scatter
-        cols = np.concatenate((pos_col[:, None], negatives), axis=1)
-        dscores = np.empty(cols.shape)
-        col0 = np.zeros(n, dtype=np.int64)
-        for b in _row_blocks(n, cols.shape[1] * c):
-            keys = hk[cols[b]]  # (rows, k + 1, C)
-            d = np.matmul(keys, sq[b, :, None])[:, :, 0]
-            terms[b], r = _softmax_rows(d, col0[b], cfg, bound, n, b.start)
-            d *= r[:, None]
-            ghq[b] = np.matmul(d[:, None, :], keys)[:, 0, :]
-            dscores[b] = d
-            del keys  # likewise
-        ghk = np.empty((hk.shape[0], c))
-        for j in range(c):
-            ghk[:, j] = np.bincount(
-                cols.ravel(), (dscores * hq[:, j, None]).ravel(), minlength=hk.shape[0]
-            )
+    # both GEMMs with the keys run 3-20% faster, to the same bytes, on a
+    # C-ordered copy of the keys' transpose than on the keys themselves
+    hk_t = np.ascontiguousarray(hk.T)
+    for b in _row_blocks(n, hk.shape[0]):
+        d = sq[b] @ hk_t
+        terms[b], r = _softmax_rows(d, pos_col[b], cfg, bound, n, b.start)
+        ghq[b] = d @ hk_t.T
+        ghq[b] *= r[:, None]
+        part = (hq[b] * r[:, None]).T @ d
+        if b.start == 0:
+            ghk_t = part
+        else:
+            ghk_t += part
+        del d  # free this block's buffer before the next one is allocated
+    ghk = np.ascontiguousarray(ghk_t.T)
     if cfg.normalize_rows:
         ghq = _unit_rows_backward(ghq, hq, dq)
         ghk = _unit_rows_backward(ghk, hk, dk)
@@ -373,24 +347,22 @@ def point_infonce(
     """Point-level contrastive loss between matched views.
 
     Positives are the matched indices (i, i); negatives all (i, j) with
-    j != i, or a per-anchor uniform sample of ``cfg.neg_sample_count`` of
-    them when sampling is enabled (and fewer than N - 1). A sampled loss
-    draws all N x k negatives from ``rng`` at once and scores only those
-    pairs and the positives, never the full N x N matrix. Gradients are
-    exact for whichever denominator was actually used.
+    j != i. With ``cfg.neg_sample_count`` = k below N - 1 it is, bit for
+    bit, this loss on the rows ``idx`` that :func:`_point_subset` draws
+    from ``rng`` (s * s pairs, about N (k + 1)), with 0 gradient elsewhere.
     """
     f1, f2 = _view_pair(f1, f2)
     n = f1.shape[0]
     if n < 2:
         raise EmptyNegativeSetError("point loss needs N >= 2 for a negative set")
 
-    k = cfg.neg_sample_count
-    negatives = None
-    if k is not None and k < n - 1:
-        if rng is None:
-            raise ConfigError("negative sampling requires a random stream")
-        negatives = _sample_negatives(n, k, rng)
-    return _term("pc", _rows_contrast(f1, f2, np.arange(n), cfg, negatives))
+    idx = _point_subset(n, cfg.neg_sample_count, rng)
+    if idx is None:
+        return _term("pc", _rows_contrast(f1, f2, np.arange(n), cfg))
+    out = _rows_contrast(f1[idx], f2[idx], np.arange(idx.size), cfg)
+    g1, g2 = np.zeros_like(f1), np.zeros_like(f2)
+    g1[idx], g2[idx] = out.grad_f1, out.grad_f2
+    return LossOutput(out.value, g1, g2, {"pc": out.value})
 
 
 def _ag_directional(fq, fk, seg, cfg):

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .losses import KINDS, LossConfig, brute_force_loss, contrast
+from .losses import KINDS, LossConfig, _point_subset, brute_force_loss, contrast
+from .rng import substream
 from .superpoint import SegmentAssignment
 
 ORACLE_TOL = 1e-10
 GRADIENT_TOL = 1e-5
 
-# every LossConfig option but sampling: reduction, temperature, row and
-# channel normalization, the positive in the denominator, symmetric ag
+# every LossConfig option: reduction, temperature, row and channel normalization,
+# the positive in the denominator, symmetric ag, sampled pc (a subset at N >= 4)
 ORACLE_CONFIGS = tuple(
     LossConfig(
         reduction="sum",
@@ -33,7 +34,22 @@ ORACLE_CONFIGS = tuple(
     LossConfig(reduction="sum", normalize_rows=False, tau=0.5),
     LossConfig(reduction="mean", symmetric_ag=True),
     LossConfig(reduction="sum", symmetric_ag=True, include_positive_in_denominator=True),
+    LossConfig(reduction="mean", neg_sample_count=2),
 )
+
+
+def evaluate(kind, f1, f2, seg, cfg):
+    """:func:`contrast` on one replayed stream: sampled "pc" draws one subset."""
+    return contrast(kind, f1, f2, seg, cfg, substream(1347))
+
+
+def oracle(kind, f1, f2, seg, cfg):
+    """:func:`brute_force_loss` on the rows :func:`evaluate` reads: sampled
+    "pc" reads the subset it draws."""
+    idx = _point_subset(len(f1), cfg.neg_sample_count, substream(1347))
+    if kind == "pc" and idx is not None:
+        f1, f2 = f1[idx], f2[idx]
+    return brute_force_loss(kind, f1, f2, seg, cfg)
 
 
 def rel_err(a, b, floor=1.0) -> float:
@@ -80,8 +96,8 @@ def oracle_mismatches(rng, instances: int, *, kinds=KINDS, configs=ORACLE_CONFIG
         f1, f2, seg = random_instance(rng, n, c, m)
         for cfg in configs:
             for kind in kinds:
-                got = contrast(kind, f1, f2, seg, cfg).value
-                want = brute_force_loss(kind, f1, f2, seg, cfg)
+                got = evaluate(kind, f1, f2, seg, cfg).value
+                want = oracle(kind, f1, f2, seg, cfg)
                 if rel_err(got, want) > ORACLE_TOL:
                     failures.append(
                         f"oracle mismatch: kind={kind} instance={i} {cfg} "
@@ -102,9 +118,9 @@ def gradient_mismatches(rng, instances: int, *, kinds=KINDS, configs=ORACLE_CONF
         f1, f2, seg = random_instance(rng, n, c, m)
         for cfg in configs:
             for kind in kinds:
-                out = contrast(kind, f1, f2, seg, cfg)
-                num1 = central_diff(lambda x: contrast(kind, x, f2, seg, cfg).value, f1)
-                num2 = central_diff(lambda x: contrast(kind, f1, x, seg, cfg).value, f2)
+                out = evaluate(kind, f1, f2, seg, cfg)
+                num1 = central_diff(lambda x: evaluate(kind, x, f2, seg, cfg).value, f1)
+                num2 = central_diff(lambda x: evaluate(kind, f1, x, seg, cfg).value, f2)
                 for name, grad, num in (("f1", out.grad_f1, num1), ("f2", out.grad_f2, num2)):
                     err = rel_err(grad, num)
                     if err > GRADIENT_TOL:

@@ -425,13 +425,13 @@ def _probe_weights(
     Mixed precision: the weights are float64 master weights. Each step
     rounds them to float32 and walks the blocks while each is in cache: the
     logit GEMM into one reused (K, w) buffer, exp, the column sum into one
-    reused (w,) buffer and the divide, row by row, since numpy's broadcast
-    divide takes an iterator buffer on every call; then the subtraction of
-    the block's float32 one-hot targets (built once; p - 0 is p, so this is
-    the true-class subtraction), and the gradient GEMM ``x @ p.T``, added
-    into a float64 (d+1, K) accumulator, which is scaled and subtracted from
-    the weights in float64. The logits are shifted by their column maximum
-    only when :func:`_logit_bound` reaches _PROBE_NO_SHIFT_LIMIT.
+    reused (w,) buffer and the divide (its iterator buffer cut to 1024
+    elements); then the subtraction of the block's float32 one-hot targets
+    (built once; p - 0 is p, so this is the true-class subtraction), and
+    the gradient GEMM ``x @ p.T``, added into a float64 (d+1, K)
+    accumulator, which is scaled and subtracted from the weights in
+    float64. The logits are shifted by their column maximum only when
+    :func:`_logit_bound` reaches _PROBE_NO_SHIFT_LIMIT.
     DivergenceError names the step and the lr if the rounded weights are not
     finite; the fit would go on to NaN weights otherwise.
     """
@@ -456,29 +456,31 @@ def _probe_weights(
     logits = np.empty(num_classes * widest, np.float32)
     colsum = np.empty(widest, np.float32)
     inv_n = 1.0 / n
-    for step in range(cfg.steps):
-        with np.errstate(over="ignore"):  # an overflow is reported just below
-            w32[...] = w
-        if not np.isfinite(w32).all():
-            raise DivergenceError(
-                f"probe diverged at step {step} (lr {cfg.lr:g}): "
-                "its weights overflow float32"
-            )
-        shifted = _logit_bound(w32, xmax) >= _PROBE_NO_SHIFT_LIMIT
-        grad[...] = 0.0
-        for block, t in zip(blocks, targets):
-            p = logits[: t.size].reshape(t.shape)
-            np.matmul(w32, block, out=p)
-            if shifted:
-                p -= p.max(axis=0)
-            np.exp(p, out=p)
-            cs = colsum[: t.shape[1]]
-            np.add.reduce(p, axis=0, out=cs)
-            for row in p:
-                row /= cs
-            p -= t
-            grad += block @ p.T
-        w -= cfg.lr * grad.T * inv_n
+    bufsize = np.setbufsize(1024)  # this context's setting under numpy 2
+    try:
+        for step in range(cfg.steps):
+            with np.errstate(over="ignore"):  # an overflow is reported just below
+                w32[...] = w
+            if not np.isfinite(w32).all():
+                raise DivergenceError(
+                    f"probe diverged at step {step} (lr {cfg.lr:g}): "
+                    "its weights overflow float32"
+                )
+            shifted = _logit_bound(w32, xmax) >= _PROBE_NO_SHIFT_LIMIT
+            grad[...] = 0.0
+            for block, t in zip(blocks, targets):
+                p = logits[: t.size].reshape(t.shape)
+                np.matmul(w32, block, out=p)
+                if shifted:
+                    p -= p.max(axis=0)
+                np.exp(p, out=p)
+                cs = np.add.reduce(p, axis=0, out=colsum[: t.shape[1]])
+                np.divide(p, cs, out=p)
+                p -= t
+                grad += block @ p.T
+            w -= cfg.lr * grad.T * inv_n
+    finally:
+        np.setbufsize(bufsize)
     return w
 
 

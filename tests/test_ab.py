@@ -88,3 +88,14 @@ def test_pairs_alternate_which_tree_runs_first():
         (1, 2), (4, 3), (5, 6), (8, 7)
     ]
     assert ab.column(readings, "change", "pass_s") == [2, 3, 6, 7]
+
+
+def test_cli_reading_takes_the_childs_rusage_and_hashes_its_output(tmp_path):
+    out = tmp_path / "scenes" / "scene_000.epcc"
+    reading = ab.cli_reading(ab.ROOT, ["gen", "--out", str(tmp_path / "scenes"),
+                                       "--scenes", "1"], out)
+    assert set(reading) == set(ab.CLI_METRICS) | {"sha256"}
+    assert len(reading["sha256"]) == 64 and not out.exists()
+    assert reading["wall_s"] > 0 and reading["minor_faults"] > 0 and reading["max_rss_mb"] > 1
+    with pytest.raises(RuntimeError, match="exited with 1"):
+        ab.cli_reading(ab.ROOT, ["gen", "--out", str(tmp_path / "x"), "--scenes", "0"], None)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import epcontrast
-from epcontrast import load_binary, load_checkpoint, losses
+from epcontrast import cli, load_binary, load_checkpoint, losses
 from epcontrast.cli import DEFAULTS, SETTINGS, RunConfig, _build_parser, cli_main
 from epcontrast.errors import ConfigError
 from epcontrast.losses import LossConfig
@@ -358,3 +358,72 @@ class TestCheck:
         assert code == 1
         assert "oracle equivalence: FAIL" in stdout
         assert "kind=cc" in stderr
+
+    def test_check_fails_on_a_sampled_point_loss_mismatch(self, capsys, monkeypatch):
+        real = losses.point_infonce
+
+        def off_when_sampled(f1, f2, cfg, rng=None):
+            out = real(f1, f2, cfg, rng)
+            return replace(out, value=out.value + 1e-6 * (cfg.neg_sample_count is not None))
+
+        monkeypatch.setattr(losses, "point_infonce", off_when_sampled)
+        code, stdout, stderr = run(capsys, "check")
+        assert code == 1
+        assert "oracle equivalence: FAIL" in stdout
+        assert "kind=pc" in stderr and "neg_sample_count=2" in stderr
+
+
+class TestAllocator:
+    """``main`` sets glibc's trim threshold and mmap count at start-up, as
+    the benchmark's GLIBC_TUNABLES do; nothing else touches the allocator."""
+
+    @staticmethod
+    def main_mallopt_calls(monkeypatch, libc="glibc"):
+        """The mallopt calls that ``epcontrast --help`` makes on ``libc``."""
+        calls = []
+
+        class FakeLibc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: FakeLibc())
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda: (libc, "2.36"))
+        monkeypatch.setattr(sys, "argv", ["epcontrast", "--help"])
+        with pytest.raises(SystemExit) as exit_:
+            cli.main()
+        assert exit_.value.code == 0
+        return calls
+
+    def test_main_keeps_freed_memory_on_glibc(self, monkeypatch, capsys):
+        monkeypatch.delenv("GLIBC_TUNABLES", raising=False)
+        assert self.main_mallopt_calls(monkeypatch) == [(-1, 2**31 - 1), (-4, 0)]
+
+    @pytest.mark.parametrize("libc", ["", "musl"])
+    def test_nothing_is_set_off_glibc(self, monkeypatch, capsys, libc):
+        monkeypatch.delenv("GLIBC_TUNABLES", raising=False)
+        assert self.main_mallopt_calls(monkeypatch, libc) == []
+
+    def test_users_tunables_win(self, monkeypatch, capsys):
+        monkeypatch.setenv("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=0")
+        assert self.main_mallopt_calls(monkeypatch) == []
+
+    def test_import_and_cli_main_leave_the_allocator_alone(self):
+        # a fresh interpreter, so no earlier import has run; every library
+        # that ctypes opens is recorded
+        src = str(Path(epcontrast.__file__).resolve().parents[1])
+        code = (
+            "import ctypes\n"
+            "opened = []\n"
+            "real = ctypes.CDLL\n"
+            "ctypes.CDLL = lambda *a, **k: opened.append(a) or real(*a, **k)\n"
+            "import epcontrast, epcontrast.cli\n"
+            "assert epcontrast.cli.cli_main(['--help']) == 0\n"
+            "print('opened', opened)\n"
+        )
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "opened []"

@@ -35,7 +35,7 @@ from epcontrast.losses import (
     KINDS,
     PAIR_KINDS,
     _NO_SHIFT_LIMIT,
-    _sample_negatives,
+    _point_subset,
     _segment_mean,
     _softmax_rows,
 )
@@ -44,7 +44,9 @@ from epcontrast.rng import substream
 from epcontrast.selfcheck import (
     ORACLE_CONFIGS,
     central_diff,
+    evaluate,
     gradient_mismatches,
+    oracle,
     oracle_mismatches,
     random_instance,
     rel_err,
@@ -386,8 +388,8 @@ class TestRowBlocks:
             f1, f2, seg = random_instance(rng, n, 4, m)
             self.three_row_blocks(monkeypatch, n, n if kind == "pc" else m)
             for cfg in ORACLE_CONFIGS:
-                got = contrast(kind, f1, f2, seg, cfg).value
-                want = brute_force_loss(kind, f1, f2, seg, cfg)
+                got = evaluate(kind, f1, f2, seg, cfg).value
+                want = oracle(kind, f1, f2, seg, cfg)
                 assert rel_err(got, want) <= 1e-10, (kind, n, m, cfg)
 
     @pytest.mark.parametrize("kind", ["pc", "ag", "pc_sampled"])
@@ -395,7 +397,8 @@ class TestRowBlocks:
         rng = substream(816, 0)
         n, c, m, k = 16, 3, 4, 5
         f1, f2, seg = random_instance(rng, n, c, m)
-        self.three_row_blocks(monkeypatch, n, {"pc": n, "ag": m, "pc_sampled": (k + 1) * c}[kind])
+        s = round(np.sqrt(n * (k + 1)))  # the subset's key rows
+        self.three_row_blocks(monkeypatch, n, {"pc": n, "ag": m, "pc_sampled": s}[kind])
         for cfg in ORACLE_CONFIGS:
             if kind == "pc_sampled":
                 cfg = LossConfig(**{**vars(cfg), "neg_sample_count": k})
@@ -496,90 +499,87 @@ class TestScoreRange:
         assert all((b >= _NO_SHIFT_LIMIT) == shifted for b in seen), seen
 
 
-def floyd_loop_negatives(n, k, rng):
-    """Floyd's draw slot by slot, testing each draw against the held
-    picks, as first written."""
-    picks = np.empty((n, k), dtype=np.int64)
-    for t, top in enumerate(range(n - 1 - k, n - 1)):
-        draw = rng.integers(0, top + 1, size=n)
-        held = (picks[:, :t] == draw[:, None]).any(axis=1)
-        picks[:, t] = np.where(held, top, draw)
-    return picks + (picks >= np.arange(n)[:, None])
-
-
 class TestSampling:
-    def test_sampler_draws_what_the_loop_draws(self):
-        # the random stream is part of the determinism contract: same
-        # picks and the generator left in the same state
+    def test_subset_is_one_sorted_draw(self):
+        # the random stream is part of the determinism contract: one choice
+        # call of s = round(sqrt(n (k + 1))) points, at every size, and the
+        # generator left where that call leaves it
         sizes = [(n, k) for n in (3, 4, 5, 8, 13, 40, 300)
                  for k in sorted({1, 2, (n - 1) // 2, n - 3, n - 2}) if 1 <= k < n - 1]
-        cases = 0
         # and the sizes that run: a desk scene at loss.neg_samples = 31, and
         # the sampled pc case of the kernels_large workload
         for n, k in sizes + [(1024, 31), (4000, 64)]:
-            for seed in range(6):
+            s = round(np.sqrt(n * (k + 1)))
+            assert 2 <= s <= n - 1
+            for seed in range(3):
                 ours, theirs = substream(820, n, k, seed), substream(820, n, k, seed)
                 np.testing.assert_array_equal(
-                    _sample_negatives(n, k, ours), floyd_loop_negatives(n, k, theirs)
+                    _point_subset(n, k, ours), np.sort(theirs.choice(n, s, replace=False,
+                                                                     shuffle=False))
                 )
                 assert ours.random() == theirs.random()
-                cases += 1
-        assert cases == 168
+        assert _point_subset(1024, 31, substream(0)).size == 181
+        assert _point_subset(4000, 64, substream(0)).size == 510
 
     def test_sampler_draws_distinct_in_range_negatives(self):
+        # each subset point's negatives are the other points of the subset
         for n, k in ((3, 1), (10, 3), (10, 8), (200, 64)):
-            picks = _sample_negatives(n, k, substream(817, n, k))
-            assert picks.shape == (n, k)
+            picks = _point_subset(n, k, substream(817, n, k))
+            assert picks.shape == (round(np.sqrt(n * (k + 1))),)
             assert np.all((picks >= 0) & (picks < n))
-            assert not np.any(picks == np.arange(n)[:, None])
-            assert np.all(np.diff(np.sort(picks, axis=1), axis=1) > 0)
+            assert np.all(np.diff(picks) > 0)
 
     def test_sampler_marginals_are_uniform(self):
         n, k, streams = 6, 2, 3000
-        counts = np.zeros((n, n))
-        for s in range(streams):
-            picks = _sample_negatives(n, k, substream(818, s))
-            np.add.at(counts, (np.repeat(np.arange(n), k), picks.ravel()), 1)
-        p = k / (n - 1)  # each of the n - 1 other columns, per anchor
+        s = round(np.sqrt(n * (k + 1)))  # 4 of the 6 points
+        counts = np.zeros(n)
+        for i in range(streams):
+            counts[_point_subset(n, k, substream(818, i))] += 1
+        p = s / n
         sd = np.sqrt(streams * p * (1 - p))
-        off = ~np.eye(n, dtype=bool)
-        assert np.all(np.diag(counts) == 0)
-        assert np.all(np.abs(counts[off] - streams * p) <= 5 * sd)
+        assert np.all(np.abs(counts - streams * p) <= 5 * sd)
 
-    def test_sampled_loss_matches_loop_over_drawn_negatives(self):
-        rng = substream(819, 0)
-        f1, f2, _ = random_instance(rng, 12, 4, 2)
+    def test_sampled_loss_is_full_loss_on_its_subset(self, monkeypatch):
+        """Bit for bit the full loss on the drawn rows, with zero gradient
+        rows elsewhere; the oracle on those rows; and s * s scored pairs."""
+        f1, f2, _ = random_instance(substream(819, 0), 40, 4, 2)
+        scored = []
+        core = losses._softmax_rows
+
+        def spy(scores, *args):
+            scored.append(scores.size)
+            return core(scores, *args)
+
+        monkeypatch.setattr(losses, "_softmax_rows", spy)
         for cfg in (LossConfig(reduction="mean", neg_sample_count=4),
                     LossConfig(reduction="sum", neg_sample_count=7, tau=0.5,
                                include_positive_in_denominator=True),
                     LossConfig(reduction="sum", neg_sample_count=1, normalize_rows=False)):
-            negatives = _sample_negatives(12, cfg.neg_sample_count, substream(57, 0))
-            got = point_infonce(f1, f2, cfg, substream(57, 0)).value
-            h1, h2 = f1, f2
-            if cfg.normalize_rows:
-                h1 = f1 / np.linalg.norm(f1, axis=1, keepdims=True)
-                h2 = f2 / np.linalg.norm(f2, axis=1, keepdims=True)
-            want = 0.0
-            for i in range(12):
-                pos = float(h1[i] @ h2[i]) / cfg.tau
-                den = sum(np.exp(float(h1[i] @ h2[j]) / cfg.tau) for j in negatives[i])
-                if cfg.include_positive_in_denominator:
-                    den += np.exp(pos)
-                want += np.log(den) - pos
-            if cfg.reduction == "mean":
-                want /= 12
-            assert rel_err(got, want) <= 1e-10
+            idx = _point_subset(40, cfg.neg_sample_count, substream(57, 0))
+            full = point_infonce(f1[idx], f2[idx], LossConfig(**{**vars(cfg),
+                                                                 "neg_sample_count": None}))
+            scored.clear()
+            got = point_infonce(f1, f2, cfg, substream(57, 0))
+            assert got.value == full.value and got.terms == {"pc": got.value}
+            for grad, sub in ((got.grad_f1, full.grad_f1), (got.grad_f2, full.grad_f2)):
+                np.testing.assert_array_equal(grad[idx], sub)
+                assert not np.delete(grad, idx, axis=0).any()
+            want = brute_force_loss("pc", f1[idx], f2[idx], cfg=cfg)
+            assert rel_err(got.value, want) <= 1e-10
+            assert sum(scored) == sum(count_pairs("pc", idx.size, 1, 4))
 
     def test_oversampling_uses_all_negatives_bitwise(self):
         rng = substream(809, 0)
         f1, f2, _ = random_instance(rng, 7, 3, 2)
         full = point_infonce(f1, f2, LossConfig(reduction="mean"))
         for k in (6, 7, 100):
+            stream = substream(1, 1)
             sampled = point_infonce(
-                f1, f2, LossConfig(reduction="mean", neg_sample_count=k), substream(1, 1)
+                f1, f2, LossConfig(reduction="mean", neg_sample_count=k), stream
             )
             assert sampled.value == full.value
             np.testing.assert_array_equal(sampled.grad_f1, full.grad_f1)
+            assert stream.random() == substream(1, 1).random()  # nothing was drawn
 
     def test_sampling_requires_stream(self):
         rng = substream(810, 0)

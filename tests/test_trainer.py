@@ -192,15 +192,15 @@ class TestPretrain:
             assert len(history) == 2
 
     def test_sampled_pc_deterministic_under_fixed_seed(self, monkeypatch):
-        # each step draws its scene's negatives from the run's _TAG_NEG stream
+        # each step draws its scene's point subset from the run's _TAG_NEG stream
         draws = []
-        sample = losses._sample_negatives
+        sample = losses._point_subset
 
         def counted(n, k, rng):
             draws.append((n, k))
             return sample(n, k, rng)
 
-        monkeypatch.setattr(losses, "_sample_negatives", counted)
+        monkeypatch.setattr(losses, "_point_subset", counted)
         scenes = tiny_scenes()
         cfg = tiny_train_cfg(epochs=2, loss_kind="pc", loss=LossConfig(neg_sample_count=5))
         kcfg = KMeansConfig(target_segments=4)
@@ -871,9 +871,9 @@ class TestProbeMemory:
     def test_fit_peak_is_the_one_hot_and_one_logit_block(self):
         # beside them: one reused block of column sums and 16 KiB of
         # weights, gradient, bounds, small temporaries and array headers
-        # (13.4 KB measured). No block allocates a block's worth: the
-        # broadcast divide p /= p.sum(axis=0) took an iterator buffer of
-        # getbufsize() float32s (32 KiB) and the sums on every block.
+        # (13.4 KB measured). No block allocates a block's worth: a
+        # broadcast divide takes an iterator buffer of getbufsize() float32s
+        # (32 KiB at numpy's default), so the fit runs it under 1024.
         blocks, _, _ = trainer._probe_matrix(self.params, self.scenes[:12])
         y = np.concatenate([s.labels for s in self.scenes[:12]])
         n = 12 * 1024
