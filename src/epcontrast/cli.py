@@ -427,6 +427,7 @@ def main() -> None:
     # memory as the benchmark's tunables do: no heap trim, no mmap'd blocks
     if platform.libc_ver()[0] == "glibc" and "GLIBC_TUNABLES" not in os.environ:
         libc = ctypes.CDLL(None)  # the C library the interpreter runs on
+        libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         libc.mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD
         libc.mallopt(-4, 0)  # M_MMAP_MAX
     sys.exit(cli_main(sys.argv[1:]))

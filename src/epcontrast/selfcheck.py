@@ -36,17 +36,17 @@ ORACLE_CONFIGS = tuple(
     LossConfig(reduction="sum", symmetric_ag=True, include_positive_in_denominator=True),
     LossConfig(reduction="mean", neg_sample_count=2),
 )
+_SUBSET_SEED = 1347  # the stream that every evaluation in a sweep replays
 
 
 def evaluate(kind, f1, f2, seg, cfg):
     """:func:`contrast` on one replayed stream: sampled "pc" draws one subset."""
-    return contrast(kind, f1, f2, seg, cfg, substream(1347))
+    return contrast(kind, f1, f2, seg, cfg, substream(_SUBSET_SEED))
 
 
 def oracle(kind, f1, f2, seg, cfg):
-    """:func:`brute_force_loss` on the rows :func:`evaluate` reads: sampled
-    "pc" reads the subset it draws."""
-    idx = _point_subset(len(f1), cfg.neg_sample_count, substream(1347))
+    """:func:`brute_force_loss` on the rows :func:`evaluate` reads: sampled pc's subset."""
+    idx = _point_subset(len(f1), cfg.neg_sample_count, substream(_SUBSET_SEED))
     if kind == "pc" and idx is not None:
         f1, f2 = f1[idx], f2[idx]
     return brute_force_loss(kind, f1, f2, seg, cfg)

@@ -382,10 +382,13 @@ class TestAllocator:
         """The mallopt calls that ``epcontrast --help`` makes on ``libc``."""
         calls = []
 
-        class FakeLibc:
-            def mallopt(self, param, value):
+        class Mallopt:  # a foreign function: it takes argtypes and restype
+            def __call__(self, param, value):
                 calls.append((param, value))
                 return 1
+
+        class FakeLibc:
+            mallopt = Mallopt()
 
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: FakeLibc())
         monkeypatch.setattr(cli.platform, "libc_ver", lambda: (libc, "2.36"))
