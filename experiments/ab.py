@@ -1,39 +1,43 @@
-"""Alternating A/B runs of one benchmark workload on two git revisions.
+"""Alternating A/B runs on two git revisions: a benchmark workload, or the
+``epcontrast`` command itself.
 
     python3 experiments/ab.py BASE CHANGE --workload desk_ep --seeds 0,7 \\
-        --pairs 10 --seconds 25 --out AB_12.json
+        --pairs 10 --out AB_12.json
+    python3 experiments/ab.py BASE CHANGE --pairs 6 --out AB_16_cli.json \\
+        --cli "pretrain --data {data} --out {out} --loss ep \\
+               --set kmeans.segments=32 --set train.epochs=2"
 
 Each revision is cloned from this repository into its own scratch
 directory, so both trees are fresh clones that differ only in their code.
-For each seed, pair i runs ``perfbench/run.py --trace 0`` once in each
+Both modes run one flow: for each seed, pair i takes one reading in each
 tree, the base first in even pairs and the change first in odd ones, so a
-slow spell of the host falls on both sides alike. The output file holds
-both commits and their ``src`` tree hashes, every reading of every
-end-to-end metric (``host_ref_s`` among them), and for each metric that
-``BENCHMARK.json`` gates: the change's wins out of the pairs, the median
-gap (the change's median minus the base's), each side's quartiles,
-whether the change clears the claim rule (better in at least nine of ten
-pairs, and a median gap beyond the base's quartile distance), and the
-no-regression verdict against the metric's ``bound`` (``summarize``).
-Comparing a revision with itself is an A/A control: it shows how far two
-trees of the same code read apart.
+slow spell of the host falls on both sides alike. Each gated metric is
+then summarized (``summarize``): the change's wins, the median gap, both
+sides' quartiles, the no-regression verdict against the metric's
+``bound``, and whether a gain clears the claim rule: at least ten pairs,
+better in nine of ten of them, and a median gap beyond the base's quartile
+distance. After every seed the output file is rewritten and one line per
+gated metric printed. It holds the mode's settings, both commits with
+their ``src`` tree hashes, and ``runs``: one ``{seed, summary, readings}``
+per seed, with every reading of every pair. Comparing a revision with
+itself is an A/A control: it shows how far two trees of the same code
+read apart.
 
-With ``--cli "ARGS"`` the pairs run the ``epcontrast`` command itself
-(``cli.main``) in each tree instead, under one BLAS thread and with no
-GLIBC_TUNABLES, so each side runs under whatever allocator settings its
-own code makes:
+``--workload W`` reads one untraced run of a perfbench workload per side
+from the ``run_once`` of that tree's own ``perfbench/report.py``, for
+``BENCHMARK.json``'s ``run_seconds`` unless ``--seconds`` is given. It
+gates ``BENCHMARK.json``'s end-to-end metrics and reports ``host_ref_s``
+as per-side quartiles.
 
-    python3 experiments/ab.py BASE CHANGE --pairs 6 --out AB_16_cli.json \
-        --cli "pretrain --data {data} --out {out} --loss ep \
-               --set kmeans.segments=32 --set train.epochs=2"
-
-``{data}`` stands for a directory of 32 desk scenes that the base tree's
-``gen`` writes once, and ``{out}`` for a fresh file per run, whose sha256
-is recorded. Each run reads its wall and CPU seconds, minor page faults
-and max RSS from the rusage of the child (``os.wait4``: the figures that
-``getrusage(RUSAGE_CHILDREN)`` sums over children), and each is
-summarized as above against the bound of ``pass_s`` (times and faults)
-or ``peak_rss_mb`` (RSS).
+``--cli "ARGS"`` reads one run of the ``epcontrast`` command
+(``cli.main``) per side instead, in one run of pairs under seed ``null``,
+with one BLAS thread and no GLIBC_TUNABLES, so each side runs under
+whatever allocator settings its own code makes. ``{data}`` stands for a
+directory of 32 desk scenes that the base tree's ``gen`` writes once, and
+``{out}`` for a fresh file per run, whose sha256 is recorded. Each run
+reads its wall and CPU seconds, minor page faults and max RSS from the
+rusage of the child (``os.wait4``), gated by the bound of ``pass_s``
+(times and faults) or ``peak_rss_mb`` (RSS).
 
 Standard library only; the clones are removed when the runs end.
 """
@@ -42,6 +46,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
+import itertools
 import json
 import os
 import shlex
@@ -55,6 +61,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+CLAIM_PAIRS = 10
 # each --cli reading and the gated metric whose bound it takes
 CLI_METRICS = {"wall_s": "pass_s", "cpu_s": "pass_s", "minor_faults": "pass_s",
                "max_rss_mb": "peak_rss_mb"}
@@ -71,9 +78,10 @@ def quartiles(values: list[float]) -> list[float]:
 def summarize(base: list[float], change: list[float], better: str, bound: float) -> dict:
     """Pairwise wins of ``change`` over ``base`` (readings of one metric,
     pair by pair), the median gap and both sides' quartiles. ``better`` is
-    "lower" or "higher". The change clears the claim rule when it is better
-    in at least 90% of the pairs and its median is better than the base's
-    by more than the base's interquartile distance.
+    "lower" or "higher". The change clears the claim rule when at least
+    :data:`CLAIM_PAIRS` pairs ran, it is better in at least 90% of them, and
+    its median is better than the base's by more than the base's
+    interquartile distance.
 
     Against the metric's relative no-regression ``bound``, the verdict is
     "unresolved" when the base's interquartile distance is wider than the
@@ -97,7 +105,8 @@ def summarize(base: list[float], change: list[float], better: str, bound: float)
         "relative_gap": gap / qb[1] if qb[1] else None,
         "base_quartiles": qb,
         "change_quartiles": qc,
-        "clears": wins >= 0.9 * len(base) and -sign * gap > qb[2] - qb[0],
+        "clears": (len(base) >= CLAIM_PAIRS and wins >= 0.9 * len(base)
+                   and -sign * gap > qb[2] - qb[0]),
         "verdict": verdict,
     }
 
@@ -121,17 +130,13 @@ def column(readings: list[dict], side: str, name: str) -> list[float]:
 
 
 def perfbench_reading(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """Every end-to-end metric of one untraced perfbench run in ``tree``,
-    with its operation counts."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=900)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited with {proc.returncode}")
-    lines = proc.stdout.strip().splitlines()
-    detail = next(line for line in reversed(lines) if line.startswith("detail: "))
-    detail = json.loads(detail[len("detail: "):])
+    """Every end-to-end metric of one untraced run of ``workload``, with its
+    operation counts, from the ``run_once`` of ``tree``'s own
+    ``perfbench/report.py``."""
+    spec = importlib.util.spec_from_file_location("report", tree / "perfbench" / "report.py")
+    report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report)
+    detail = report.run_once(workload, seed, seconds, 0)["detail"]
     reading = {name: d["value"] for name, d in detail["end_to_end"].items()}
     reading.update(attempted=detail["attempted"], failed=detail["failed"])
     return reading
@@ -162,27 +167,20 @@ def cli_reading(tree: Path, argv: list[str], out: Path | None) -> dict:
     return reading
 
 
-def cli_pairs(trees: dict, args_text: str, pairs: int, scratch: Path, spec: dict) -> dict:
-    """Alternating ``--cli`` runs in both trees, summarized per metric."""
+def cli_runner(trees: dict, args_text: str, scratch: Path):
+    """``runner(side, seed)``: :func:`cli_reading` of ``args_text`` in
+    ``trees[side]``, the seed unused; ``{data}`` is written once, here."""
     if "{data}" in args_text:
         cli_reading(trees["base"], ["gen", "--out", str(scratch / "data"), "--scenes", "32"],
                     None)
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    runs = iter(range(2 * pairs))
+    outs = itertools.count()
 
-    def runner(side):
-        out = scratch / f"out_{next(runs)}"
+    def runner(side, seed):
+        out = scratch / f"out_{next(outs)}"
         argv = [a.format(data=scratch / "data", out=out) for a in shlex.split(args_text)]
         return cli_reading(trees[side], argv, out)
 
-    readings = run_pairs(runner, pairs)
-    summary = {name: summarize(column(readings, "base", name), column(readings, "change", name),
-                               "lower", bounds[gated])
-               for name, gated in CLI_METRICS.items()}
-    for name, s in summary.items():
-        print(f"{name}: base {s['base_quartiles'][1]:.4g} -> change "
-              f"{s['change_quartiles'][1]:.4g}, wins {s['wins']}/{s['pairs']}, {s['verdict']}")
-    return {"summary": summary, "readings": readings}
+    return runner
 
 
 def clone(rev: str, dest: Path) -> dict:
@@ -206,11 +204,10 @@ def main(argv=None) -> int:
     parser.add_argument("--cli", metavar="ARGS", help="epcontrast arguments to run instead")
     parser.add_argument("--seeds", default="0", help="comma-separated, for example 0,7")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25)
+    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--scratch", type=Path, help="parent of the clones (default: a temp dir)")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
     if (args.workload is None) == (args.cli is None):
         parser.error("give exactly one of --workload and --cli")
 
@@ -220,30 +217,34 @@ def main(argv=None) -> int:
         revs = {side: clone(rev, trees[side])
                 for side, rev in zip(SIDES, (args.base, args.change))}
         spec = json.loads((trees["base"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-        if args.cli is not None:
-            result = {"cli": args.cli, "pairs": args.pairs, "base": revs["base"],
-                      "change": revs["change"],
-                      **cli_pairs(trees, args.cli, args.pairs, scratch, spec)}
-            args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
-            return 0
+        metrics = {m["name"]: m for m in spec["end_to_end"]}
+        if args.workload is not None:
+            seconds = args.seconds or spec["run_seconds"]
+            header = {"workload": args.workload, "seconds": seconds}
+            seeds, quartiled = [int(x) for x in args.seeds.split(",")], ("host_ref_s",)
+            gated = {name: (m["better"], m["bound"]) for name, m in metrics.items()}
+
+            def runner(side, seed):
+                return perfbench_reading(trees[side], args.workload, seed, seconds)
+        else:
+            header, seeds, quartiled = {"cli": args.cli}, [None], ()
+            gated = {name: ("lower", metrics[m]["bound"]) for name, m in CLI_METRICS.items()}
+            runner = cli_runner(trees, args.cli, scratch)
         runs = []
-        result = {"workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
-                  "base": revs["base"], "change": revs["change"], "runs": runs}
+        result = {**header, "pairs": args.pairs, "base": revs["base"], "change": revs["change"],
+                  "runs": runs}
         for seed in seeds:
-            readings = run_pairs(
-                lambda side: perfbench_reading(trees[side], args.workload, seed, args.seconds),
-                args.pairs,
-            )
-            summary = {m["name"]: summarize(column(readings, "base", m["name"]),
-                                            column(readings, "change", m["name"]), m["better"],
-                                            m["bound"])
-                       for m in spec["end_to_end"]}
-            summary["host_ref_s"] = {side: quartiles(column(readings, side, "host_ref_s"))
-                                     for side in SIDES}
+            readings = run_pairs(lambda side: runner(side, seed), args.pairs)
+            summary = {name: summarize(column(readings, "base", name),
+                                       column(readings, "change", name), better, bound)
+                       for name, (better, bound) in gated.items()}
+            summary.update({name: {side: quartiles(column(readings, side, name))
+                                   for side in SIDES}
+                            for name in quartiled})
             runs.append({"seed": seed, "summary": summary, "readings": readings})
             # written after every seed, so a later failure keeps the finished seeds
             args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
-            for name in (m["name"] for m in spec["end_to_end"]):
+            for name in gated:
                 s = summary[name]
                 print(f"seed {seed} {name}: base {s['base_quartiles'][1]:.4g} -> change "
                       f"{s['change_quartiles'][1]:.4g}, wins {s['wins']}/{s['pairs']}, "

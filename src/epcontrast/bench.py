@@ -10,11 +10,11 @@ walk the queries in row blocks whose score buffer stays within a fixed
 8 MiB, and exponentiate, normalize and differentiate inside each block's
 buffer. Their measured (tracemalloc) peak is one block plus the N x C
 embedding buffers: 0.131x the accounted bytes for pc at N = 4000 and 0.093x
-for ag at N = 16384, M = 2000 (``BENCH_11.json``). Sampled pc scores s x s
+for ag at N = 16384, M = 2000 (``BENCH_14.json``). Sampled pc scores s x s
 pairs, s = round(sqrt(N (k + 1))). The channel loss's peak is set by its two
 N x C gradient buffers, not by its C x C scores: 34.19 MB (2.04 N x C
 buffers; no unit channel maps are held) against 8 KiB accounted at
-N = 65536, C = 32 (``BENCH_11.json``).
+N = 65536, C = 32 (``BENCH_14.json``).
 
 The accounted figures are deterministic and platform-independent: quadratic
 in N for the point loss, linear in N for the segment loss at fixed M, and

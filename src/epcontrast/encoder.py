@@ -55,6 +55,8 @@ class MlpParams:
         for w, b in zip(self.weights, self.biases):
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise ShapeError(f"layer shapes inconsistent: W {w.shape}, b {b.shape}")
+            if 0 in w.shape:
+                raise ShapeError(f"a layer needs at least one input and one unit, W {w.shape}")
             if prev is not None and w.shape[1] != prev:
                 raise ShapeError(
                     f"layer input {w.shape[1]} does not chain from previous output {prev}"

@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer-field check
+that the config dataclasses share.
 
 Everything derives from ValueError or RuntimeError so callers that do not
 care about the fine-grained class can still catch the builtin.
 """
+
+import numbers
 
 
 class ShapeError(ValueError):
@@ -64,3 +67,12 @@ class ConfigError(ValueError):
 
 class DomainError(ValueError):
     """A numeric input is outside the mathematical domain of an operation."""
+
+
+def require_integers(config, *names: str) -> None:
+    """Raise :class:`ConfigError` naming the first of ``config``'s fields
+    ``names`` whose value is not a ``numbers.Integral`` (numpy integers are)."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")

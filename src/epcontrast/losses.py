@@ -53,7 +53,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, EmptyNegativeSetError, PartitionError, RangeError, ShapeError
+from .errors import (
+    ConfigError, EmptyNegativeSetError, PartitionError, RangeError, ShapeError, require_integers,
+)
 from .numcore import (
     DEFAULT_EPS,
     _col_norms,
@@ -93,10 +95,12 @@ class LossConfig:
             raise ConfigError(f"lam must be finite and non-negative, got {self.lam}")
         if self.reduction not in ("sum", "mean"):
             raise ConfigError(f"reduction must be 'sum' or 'mean', got {self.reduction!r}")
-        if self.neg_sample_count is not None and self.neg_sample_count < 1:
-            raise ConfigError(
-                f"neg_sample_count must be >= 1 when set, got {self.neg_sample_count}"
-            )
+        if self.neg_sample_count is not None:
+            require_integers(self, "neg_sample_count")
+            if self.neg_sample_count < 1:
+                raise ConfigError(
+                    f"neg_sample_count must be >= 1 when set, got {self.neg_sample_count}"
+                )
 
 
 @dataclass(frozen=True)

@@ -146,8 +146,8 @@ def _bulk_ascii(data: bytes):
     It declines files that are not ASCII or contain ``#``, any file
     loadtxt rejects or warns about (no data, a changed field count, a
     field that is not a float64 or int64), and files with a non-finite
-    position or a colour outside [0, 1]; what it returns is what the line
-    parser returns for the same bytes.
+    position, a colour outside [0, 1] or a negative label; what it returns
+    is what the line parser returns for the same bytes.
     """
     if not data.isascii() or b"#" in data:
         return None
@@ -162,9 +162,12 @@ def _bulk_ascii(data: bytes):
     except (ValueError, Warning):
         return None
     positions, colors = rows["v"][:, :3], rows["v"][:, 3:]
+    labels = rows["l"] if "l" in dtype.names else None
     if not np.isfinite(positions).all() or not ((colors >= 0.0) & (colors <= 1.0)).all():
         return None
-    return positions, colors, rows["l"] if "l" in dtype.names else None
+    if labels is not None and labels.min() < 0:
+        return None
+    return positions, colors, labels
 
 
 def _ascii_lines(path, data: bytes):
@@ -202,7 +205,9 @@ def _ascii_lines(path, data: bytes):
                 label = int(fields[6])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad label {fields[6]!r}") from exc
-            if not -(1 << 63) <= label < 1 << 63:
+            if label < 0:
+                raise RangeError(f"{path}:{lineno}: labels must be non-negative, got {label}")
+            if label >= 1 << 63:
                 raise RangeError(f"{path}:{lineno}: label {fields[6]} does not fit in int64")
             labels.append(label)
         x, y, z, r, g, b = values

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, PartitionError, ShapeError
+from .errors import ConfigError, PartitionError, ShapeError, require_integers
 from .numcore import _col_extremes, _gemm_row_blocks, _segment_sums
 from .pointcloud import PointCloud
 from .rng import substream
@@ -73,6 +73,7 @@ class KMeansConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "target_segments", "max_iters", "seed")
         if self.target_segments < 1:
             raise ConfigError(f"target_segments must be >= 1, got {self.target_segments}")
         if self.max_iters < 1:

@@ -41,7 +41,9 @@ from .encoder import (
     INPUT_DIM, MlpParams, encoder_backward, encoder_embed, encoder_features, encoder_forward,
     encoder_init,
 )
-from .errors import ConfigError, DivergenceError, RangeError, UnlabeledSceneError
+from .errors import (
+    ConfigError, DivergenceError, RangeError, UnlabeledSceneError, require_integers,
+)
 from .losses import KINDS, LossConfig, contrast
 from .numcore import _gemm_row_blocks
 from .pointcloud import AugmentParams, PointCloud, make_view_pair
@@ -72,6 +74,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "epochs", "batch_size", "hidden", "embed_dim", "seed")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -141,6 +144,7 @@ class SyntheticSceneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "num_clusters", "points_per_cluster", "seed")
         if self.num_clusters < 1 or self.points_per_cluster < 1:
             raise ConfigError("cluster counts must be >= 1")
         for name in ("cluster_std", "color_noise_std"):
@@ -312,6 +316,7 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "steps", "seed")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if not 0 < self.lr < math.inf:

@@ -1,7 +1,8 @@
-"""The A/B tool's statistics and alternation order, on fixed inputs and a
-stub runner; nothing here runs the benchmark."""
+"""The A/B tool's statistics, alternation order and output layout, on fixed
+inputs and stub runners; nothing here clones a tree or runs the benchmark."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -99,3 +100,77 @@ def test_cli_reading_takes_the_childs_rusage_and_hashes_its_output(tmp_path):
     assert reading["wall_s"] > 0 and reading["minor_faults"] > 0 and reading["max_rss_mb"] > 1
     with pytest.raises(RuntimeError, match="exited with 1"):
         ab.cli_reading(ab.ROOT, ["gen", "--out", str(tmp_path / "x"), "--scenes", "0"], None)
+
+
+def test_a_gain_clears_only_from_ten_pairs():
+    base = [1.0, 1.1, 0.9, 1.2, 1.0, 1.05, 0.95, 1.0, 1.1, 1.0]
+    change = [b - 0.5 for b in base]
+    nine = ab.summarize(base[:9], change[:9], "lower", 0.25)
+    assert nine["wins"] == 9 and not nine["clears"]
+    assert ab.summarize(base, change, "lower", 0.25)["clears"]
+
+
+def stub_clone(rev, dest):
+    dest.mkdir(parents=True)
+    (dest / "BENCHMARK.json").write_bytes((ab.ROOT / "BENCHMARK.json").read_bytes())
+    return {"rev": rev, "commit": f"commit-{rev}", "src_tree": f"tree-{rev}"}
+
+
+def test_main_runs_workload_seeds_through_one_flow(tmp_path, monkeypatch):
+    out = tmp_path / "ab.json"
+    calls = []
+
+    def reading(tree, workload, seed, seconds):
+        calls.append((tree.name, workload, seed, seconds))
+        if seed == 7:  # the finished seed is on disk before the next one runs
+            assert [r["seed"] for r in json.loads(out.read_text())["runs"]] == [0]
+        value = 1.0 if tree.name == "base" else 0.5
+        return {"setup_s": value, "pass_s": value, "peak_rss_mb": value, "host_ref_s": 0.25,
+                "attempted": 3, "failed": 0}
+
+    monkeypatch.setattr(ab, "clone", stub_clone)
+    monkeypatch.setattr(ab, "perfbench_reading", reading)
+    assert ab.main(["A", "B", "--workload", "desk_ep", "--seeds", "0,7", "--pairs", "2",
+                    "--out", str(out), "--scratch", str(tmp_path)]) == 0
+    result = json.loads(out.read_text())
+    spec = json.loads((ab.ROOT / "BENCHMARK.json").read_text())
+    assert set(result) == {"workload", "seconds", "pairs", "base", "change", "runs"}
+    assert result["seconds"] == spec["run_seconds"] and result["change"]["commit"] == "commit-B"
+    assert [r["seed"] for r in result["runs"]] == [0, 7]
+    assert calls[:2] == [("base", "desk_ep", 0, spec["run_seconds"]),
+                         ("change", "desk_ep", 0, spec["run_seconds"])]
+    assert len(calls) == 8
+    for run in result["runs"]:
+        assert set(run) == {"seed", "summary", "readings"} and len(run["readings"]) == 2
+        gated = {m["name"] for m in spec["end_to_end"]}
+        assert set(run["summary"]) == gated | {"host_ref_s"}
+        assert run["summary"]["pass_s"]["wins"] == 2 and not run["summary"]["pass_s"]["clears"]
+        assert run["summary"]["host_ref_s"] == {"base": [0.25] * 3, "change": [0.25] * 3}
+    assert list(tmp_path.glob("ab-*")) == []
+
+
+def test_main_runs_cli_pairs_through_the_same_flow(tmp_path, monkeypatch):
+    out = tmp_path / "ab.json"
+    calls = []
+
+    def reading(tree, argv, path):
+        calls.append((tree.name, argv, path))
+        return {"wall_s": 1.0, "cpu_s": 1.0, "minor_faults": 10, "max_rss_mb": 40.0,
+                "sha256": "same"}
+
+    monkeypatch.setattr(ab, "clone", stub_clone)
+    monkeypatch.setattr(ab, "cli_reading", reading)
+    assert ab.main(["A", "B", "--cli", "pretrain --data {data} --out {out}", "--pairs", "3",
+                    "--out", str(out), "--scratch", str(tmp_path)]) == 0
+    result = json.loads(out.read_text())
+    assert set(result) == {"cli", "pairs", "base", "change", "runs"}
+    [run] = result["runs"]
+    assert run["seed"] is None and len(run["readings"]) == 3
+    assert set(run["summary"]) == set(ab.CLI_METRICS)
+    assert run["summary"]["wall_s"]["verdict"] == "within_bound"
+    gen, *runs = calls
+    assert gen[0] == "base" and gen[1][0] == "gen" and gen[2] is None
+    assert [c[0] for c in runs] == ["base", "change", "change", "base", "base", "change"]
+    data = gen[1][2]
+    assert all(c[1] == ["pretrain", "--data", data, "--out", str(c[2])] for c in runs)
+    assert len({c[2] for c in runs}) == 6

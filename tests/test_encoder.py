@@ -276,6 +276,18 @@ class TestCheckpoint:
         with pytest.raises(ShapeError, match=r"narrow\.epck: first layer takes 4 inputs"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("shapes", [
+        [(0, 9)], [(4, 9), (0, 4)], [(0, 9), (3, 0)], [(4, 9), (0, 4), (3, 0)],
+    ], ids=["only-layer", "output", "first-then-fed", "hidden"])
+    def test_a_layer_with_no_units_is_rejected(self, tmp_path, shapes):
+        blob = b"EPCK" + struct.pack("<II", 1, len(shapes))
+        for fan_out, fan_in in shapes:  # all-zero weights and biases
+            blob += struct.pack("<II", fan_out, fan_in) + bytes(8 * fan_out * (fan_in + 1))
+        path = tmp_path / "empty.epck"
+        path.write_bytes(blob)
+        with pytest.raises(ShapeError, match=r"empty\.epck: a layer needs at least one input"):
+            load_checkpoint(path)
+
     def test_four_layer_checkpoint_embeds_with_exact_gradients(self, tmp_path):
         rng = np.random.default_rng(9)
         sizes = (9, 7, 6, 5, 3)

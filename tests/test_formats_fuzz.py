@@ -149,7 +149,7 @@ def test_ascii_bulk_parse_matches_lines_or_declines(tmp_path, labeled, data):
         ("0 0 0 1 1 1 +3\n", True),
         ("0 0 0 1 1 1 3.0\n", False),
         ("0 0 0 1 1 1 007\n", True),
-        ("0 0 0 1 1 1 -2\n", True),
+        ("0 0 0 1 1 1 -2\n", False),
         ("0 0 0 1 1 1 99999999999999999999\n", False),
         ("nan 0 0 1 1 1\n", False),
         ("0 0 0 nan 1 1\n", False),

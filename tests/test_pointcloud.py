@@ -131,6 +131,12 @@ class TestAsciiFormat:
         with pytest.raises(RangeError, match=r"big\.txt:2: label 99999999999999999999"):
             load_ascii(path)
 
+    def test_negative_label_names_its_line(self, tmp_path):
+        path = tmp_path / "neg.txt"
+        path.write_text("0 0 0 1 1 1 3\n1 1 1 0.5 0.5 0.5 -2\n")
+        with pytest.raises(RangeError, match=r"neg\.txt:2: labels must be non-negative, got -2"):
+            load_ascii(path)
+
     def test_mixed_label_modes_rejected(self, tmp_path):
         path = tmp_path / "mixed.txt"
         path.write_text("0 0 0 1 1 1\n0 0 0 1 1 1 3\n")

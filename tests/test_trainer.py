@@ -156,6 +156,24 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
 
 
+INTEGER_FIELDS = [
+    *[(TrainConfig, f) for f in ("epochs", "batch_size", "hidden", "embed_dim", "seed")],
+    *[(KMeansConfig, f) for f in ("target_segments", "max_iters", "seed")],
+    *[(ProbeConfig, f) for f in ("steps", "seed")],
+    *[(SyntheticSceneConfig, f) for f in ("num_clusters", "points_per_cluster", "seed")],
+    (LossConfig, "neg_sample_count"),
+]
+
+
+@pytest.mark.parametrize("cls, field", INTEGER_FIELDS,
+                         ids=[f"{cls.__name__}.{f}" for cls, f in INTEGER_FIELDS])
+def test_integer_settings_reject_non_integers(cls, field):
+    for value in (2.5, 2.0, "2"):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+            cls(**{field: value})
+    assert getattr(cls(**{field: np.int32(2)}), field) == 2
+
+
 class TestPretrain:
     def test_lr_zero_keeps_params_at_init(self):
         scenes = tiny_scenes()
