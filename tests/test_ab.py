@@ -140,9 +140,9 @@ def test_main_runs_workload_seeds_through_one_flow(tmp_path, monkeypatch):
     assert calls[:2] == [("base", "desk_ep", 0, spec["run_seconds"]),
                          ("change", "desk_ep", 0, spec["run_seconds"])]
     assert len(calls) == 8
+    gated = {m["name"] for m in spec["end_to_end"]}
     for run in result["runs"]:
         assert set(run) == {"seed", "summary", "readings"} and len(run["readings"]) == 2
-        gated = {m["name"] for m in spec["end_to_end"]}
         assert set(run["summary"]) == gated | {"host_ref_s"}
         assert run["summary"]["pass_s"]["wins"] == 2 and not run["summary"]["pass_s"]["clears"]
         assert run["summary"]["host_ref_s"] == {"base": [0.25] * 3, "change": [0.25] * 3}
