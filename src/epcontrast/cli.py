@@ -11,9 +11,9 @@ Settings come from a plain-text config file of ``key = value`` lines with
 dataclass (``SETTINGS``) and takes that field's default and value type;
 unknown keys are rejected. Precedence, lowest to highest: defaults, config
 file, the EPC_SEED environment variable (seed only), ``--set key=value``
-overrides, dedicated flags. Each run prints the fully resolved configuration
-and builds, and so validates, every config dataclass it uses before it
-reads any file.
+overrides, dedicated flags. Every subcommand but ``check``, which takes no
+settings, prints the fully resolved configuration and builds, and so
+validates, every config dataclass it uses before it reads any file.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer-field check
-that the config dataclasses share.
+"""Exception types shared across the package, and the one integer rule of the
+config dataclasses (:func:`require_integers`: integral and at least a minimum).
 
 Everything derives from ValueError or RuntimeError so callers that do not
 care about the fine-grained class can still catch the builtin.
@@ -69,10 +69,13 @@ class DomainError(ValueError):
     """A numeric input is outside the mathematical domain of an operation."""
 
 
-def require_integers(config, *names: str) -> None:
-    """Raise :class:`ConfigError` naming the first of ``config``'s fields
-    ``names`` whose value is not a ``numbers.Integral`` (numpy integers are)."""
-    for name in names:
+def require_integers(config, **minimums: int) -> None:
+    """Raise :class:`ConfigError` naming the first of ``config``'s fields,
+    each given with its least allowed value, whose value is not a
+    ``numbers.Integral`` (numpy integers are) or is below that value."""
+    for name, low in minimums.items():
         value = getattr(config, name)
         if not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")

@@ -37,17 +37,19 @@ one GEMM, read and written by one exp, read by one row sum and read by
 the two gradient GEMMs.
 
 One table, :data:`KINDS`, holds what differs between the loss kinds: the
-evaluator, the loop oracle, the pair formula and whether a segment
-assignment is read. Every loss has a brute-force twin
-(:func:`brute_force_loss`) sharing no code path with the evaluators: each
-pair scheme prepares its rows and walks them with one plain-Python anchor
-loop, both directions of a symmetric segment loss included; the sweeps in
-:mod:`epcontrast.selfcheck` pit the two against each other.
+evaluator, the loop oracle, the pair formula, and whether the kind reads a
+segment assignment, contrasts points and contrasts channels. Every loss has
+a brute-force twin (:func:`brute_force_loss`) sharing no code path with the
+evaluators: each pair scheme prepares its rows and walks them with one
+plain-Python anchor loop, both directions of a symmetric segment loss
+included; the sweeps in :mod:`epcontrast.selfcheck` pit the two against
+each other.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
@@ -96,11 +98,7 @@ class LossConfig:
         if self.reduction not in ("sum", "mean"):
             raise ConfigError(f"reduction must be 'sum' or 'mean', got {self.reduction!r}")
         if self.neg_sample_count is not None:
-            require_integers(self, "neg_sample_count")
-            if self.neg_sample_count < 1:
-                raise ConfigError(
-                    f"neg_sample_count must be >= 1 when set, got {self.neg_sample_count}"
-                )
+            require_integers(self, neg_sample_count=1)
 
 
 @dataclass(frozen=True)
@@ -151,9 +149,12 @@ def _lookup(kind: str, seg: SegmentAssignment | None = None, *, pairs: bool = Fa
 
 def count_pairs(kind: str, n: int, m: int, c: int) -> tuple[int, int]:
     """(positive, negative) pair counts of a scheme in :data:`PAIR_KINDS`
-    at the given sizes; ``m`` matters to segmented schemes only, which
-    cannot split n points into more than n segments."""
+    at the given integer sizes; ``m`` matters to segmented schemes only,
+    which cannot split n points into more than n segments."""
     spec = _lookup(kind, pairs=True)
+    for name, size in (("n", n), ("m", m), ("c", c)):
+        if not isinstance(size, numbers.Integral):
+            raise RangeError(f"{name} must be an integer, got {size!r}")
     if min(n, m, c) < 1:
         raise RangeError(f"sizes must be >= 1, got n={n}, m={m}, c={c}")
     if spec.segmented and m > n:
@@ -642,15 +643,16 @@ def brute_force_loss(
 @dataclass(frozen=True)
 class LossKind:
     """One entry of :data:`KINDS`: ``evaluate(f1, f2, seg, cfg, rng)``, the
-    ``oracle(f1, f2, seg, cfg, counter)`` on lists of rows, ``pairs(n, m,
-    c)`` -> (positives, negatives) or None for the combined "ep", whether
-    the kind reads a segment assignment (and so needs M >= 2), and
-    ``channels(cfg)``, whether it contrasts channels (and so needs C >= 2)."""
+    ``oracle(f1, f2, seg, cfg, counter)`` on lists of rows, ``pairs(n, m, c)``
+    -> (positives, negatives) or None for the combined "ep", and whether the
+    kind reads a segment assignment (needs M >= 2), contrasts points (needs
+    N >= 2) and, by ``channels(cfg)``, contrasts channels (needs C >= 2)."""
 
     evaluate: Callable[..., LossOutput]
     oracle: Callable[..., float]
     pairs: Callable[[int, int, int], tuple[int, int]] | None
     segmented: bool
+    points: bool
     channels: Callable[[LossConfig], bool]
 
 
@@ -658,15 +660,15 @@ class LossKind:
 # by its module-level name: a wrapper installed on that name sees it.
 KINDS = {
     "pc": LossKind(lambda f1, f2, seg, cfg, rng: point_infonce(f1, f2, cfg, rng),
-                   _bf_pc, lambda n, m, c: (n, n * n - n), segmented=False,
+                   _bf_pc, lambda n, m, c: (n, n * n - n), segmented=False, points=True,
                    channels=lambda cfg: False),
     "ag": LossKind(lambda f1, f2, seg, cfg, rng: ag_contrast(f1, f2, seg, cfg),
-                   _bf_ag, lambda n, m, c: (n, n * (m - 1)), segmented=True,
+                   _bf_ag, lambda n, m, c: (n, n * (m - 1)), segmented=True, points=True,
                    channels=lambda cfg: False),
     "cc": LossKind(lambda f1, f2, seg, cfg, rng: channel_contrast(f1, f2, cfg),
-                   _bf_cc, lambda n, m, c: (c, c * c - c), segmented=False,
+                   _bf_cc, lambda n, m, c: (c, c * c - c), segmented=False, points=False,
                    channels=lambda cfg: True),
     "ep": LossKind(lambda f1, f2, seg, cfg, rng: ep_contrast(f1, f2, seg, cfg),
-                   _bf_ep, None, segmented=True, channels=lambda cfg: cfg.lam != 0.0),
+                   _bf_ep, None, segmented=True, points=True, channels=lambda cfg: cfg.lam != 0.0),
 }
 PAIR_KINDS = tuple(name for name, spec in KINDS.items() if spec.pairs is not None)

@@ -66,7 +66,10 @@ class PointCloud:
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "colors", col)
         if self.labels is not None:
-            lab = np.ascontiguousarray(self.labels, dtype=np.int64)
+            lab = np.asarray(self.labels)
+            if lab.dtype.kind not in "iu":
+                raise RangeError(f"labels must be integers, got dtype {lab.dtype}")
+            lab = np.ascontiguousarray(lab, dtype=np.int64)
             if lab.shape != (pos.shape[0],):
                 raise ShapeError(
                     f"labels must have shape ({pos.shape[0]},), got {lab.shape}"

@@ -24,6 +24,7 @@ rounding of a boundary between two points.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,12 +44,16 @@ class SegmentAssignment:
     sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seg = np.ascontiguousarray(self.segment_of, dtype=np.int64)
+        seg = np.asarray(self.segment_of)
+        if seg.dtype.kind not in "iu":
+            raise PartitionError(f"segment ids must be integers, got dtype {seg.dtype}")
+        seg = np.ascontiguousarray(seg, dtype=np.int64)
         if seg.ndim != 1:
             raise ShapeError(f"segment_of must be 1-D, got shape {seg.shape}")
-        m = int(self.num_segments)
-        if m < 1:
-            raise PartitionError(f"num_segments must be >= 1, got {m}")
+        m = self.num_segments
+        if not isinstance(m, numbers.Integral) or m < 1:
+            raise PartitionError(f"num_segments must be an integer >= 1, got {m!r}")
+        m = int(m)
         if seg.size == 0:
             raise PartitionError("segment_of must cover at least one point")
         if seg.min() < 0 or seg.max() >= m:
@@ -73,17 +78,11 @@ class KMeansConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, "target_segments", "max_iters", "seed")
-        if self.target_segments < 1:
-            raise ConfigError(f"target_segments must be >= 1, got {self.target_segments}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        require_integers(self, target_segments=1, max_iters=1, seed=0)
         if not 0 <= self.tol < math.inf:
             raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
         if not 0 <= self.color_weight < math.inf:
             raise ConfigError(f"color_weight must be finite and >= 0, got {self.color_weight}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def segment_features(cloud: PointCloud, color_weight: float) -> np.ndarray:

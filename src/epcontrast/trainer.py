@@ -42,7 +42,8 @@ from .encoder import (
     encoder_init,
 )
 from .errors import (
-    ConfigError, DivergenceError, RangeError, UnlabeledSceneError, require_integers,
+    ConfigError, DivergenceError, EmptyNegativeSetError, RangeError, UnlabeledSceneError,
+    require_integers,
 )
 from .losses import KINDS, LossConfig, contrast
 from .numcore import _gemm_row_blocks
@@ -74,11 +75,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, "epochs", "batch_size", "hidden", "embed_dim", "seed")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        require_integers(self, epochs=1, batch_size=1, hidden=1, embed_dim=1, seed=0)
         if not 0.0 <= self.base_lr < math.inf:
             raise ConfigError(f"base_lr must be finite and >= 0, got {self.base_lr}")
         for name in ("beta1", "beta2"):
@@ -92,10 +89,6 @@ class TrainConfig:
             raise ConfigError(
                 f"loss_kind must be one of {'/'.join(KINDS)}, got {self.loss_kind!r}"
             )
-        if min(self.hidden, self.embed_dim) < 1:
-            raise ConfigError("hidden and embed_dim must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -144,16 +137,12 @@ class SyntheticSceneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, "num_clusters", "points_per_cluster", "seed")
-        if self.num_clusters < 1 or self.points_per_cluster < 1:
-            raise ConfigError("cluster counts must be >= 1")
+        require_integers(self, num_clusters=1, points_per_cluster=1, seed=0)
         for name in ("cluster_std", "color_noise_std"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0 < self.extent < math.inf:
             raise ConfigError(f"extent must be finite and positive, got {self.extent}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def class_palette(num_classes: int) -> np.ndarray:
@@ -278,13 +267,20 @@ def pretrain(
 
     Each epoch shuffles the scenes into batches of ``batch_size`` and takes
     one :func:`_train_step` per batch. History rows are (step, epoch, loss,
-    lr), one per optimizer step, with the batch-mean loss.
+    lr), one per optimizer step, with the batch-mean loss. A kind that
+    contrasts points rejects a one-point scene before k-means runs.
     """
     if not scenes:
         raise RangeError("pretraining needs at least one scene")
     _check_negatives(train_cfg, kmeans_cfg)
-    segmented = KINDS[train_cfg.loss_kind].segmented
-    segments = [kmeans_segments(s, kmeans_cfg) if segmented else None for s in scenes]
+    spec = KINDS[train_cfg.loss_kind]
+    small = [i for i, scene in enumerate(scenes) if scene.n < 2]
+    if spec.points and small:
+        raise EmptyNegativeSetError(
+            f"loss kind {train_cfg.loss_kind!r} needs scenes of >= 2 points so every point "
+            f"has a negative, but scene {small[0]} has {scenes[small[0]].n}"
+        )
+    segments = [kmeans_segments(s, kmeans_cfg) if spec.segmented else None for s in scenes]
 
     params = encoder_init(
         INPUT_DIM, train_cfg.hidden, train_cfg.embed_dim,
@@ -316,9 +312,7 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, "steps", "seed")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        require_integers(self, steps=1, seed=0)
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if not 0 < self.label_fraction <= 1:
@@ -327,8 +321,6 @@ class ProbeConfig:
             raise ConfigError(
                 f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _probe_matrix(

@@ -5,7 +5,7 @@ import pytest
 
 from epcontrast import bench_loss, count_pairs, fit_exponent
 from epcontrast.bench import accounted_bytes
-from epcontrast.errors import BudgetError, ConfigError, DomainError
+from epcontrast.errors import BudgetError, ConfigError, DomainError, RangeError
 
 
 class TestFitExponent:
@@ -98,6 +98,12 @@ class TestBenchLoss:
     def test_bad_arguments_are_config_errors(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             bench_loss("pc", **{"measure": False, **kwargs})
+
+    def test_sizes_that_are_not_integers_are_range_errors(self):
+        with pytest.raises(RangeError, match="^m must be an integer, got 2.5$"):
+            bench_loss("ag", [16, 32, 64, 128], m=2.5, measure=False)
+        with pytest.raises(RangeError, match="^n must be an integer, got 8.5$"):
+            accounted_bytes("pc", 8.5, 1, 32)
 
     def test_count_only_run_ignores_repeats(self):
         report = bench_loss("ag", [8], m=4, repeats=2, measure=False)

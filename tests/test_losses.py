@@ -629,6 +629,11 @@ class TestPairCounting:
         for sizes in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
             with pytest.raises(RangeError, match="sizes must be >= 1"):
                 count_pairs("pc", *sizes)
+        for sizes, message in (((8.5, 1, 32), "n must be an integer, got 8.5"),
+                               ((8, 2.5, 32), "m must be an integer, got 2.5"),
+                               ((8, 1, 32.0), "c must be an integer, got 32.0")):
+            with pytest.raises(RangeError, match=f"^{message}$"):
+                count_pairs("ag", *sizes)
         with pytest.raises(ConfigError, match="unknown pair scheme 'ep'"):
             count_pairs("ep", 4, 2, 2)
 
@@ -641,6 +646,7 @@ class TestKindTable:
         assert set(self.EVALUATORS) == set(KINDS)
         assert PAIR_KINDS == ("pc", "ag", "cc")
         assert [name for name, spec in KINDS.items() if spec.segmented] == ["ag", "ep"]
+        assert [name for name, spec in KINDS.items() if spec.points] == ["pc", "ag", "ep"]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_contrast_calls_the_kinds_evaluator_once(self, monkeypatch, kind):

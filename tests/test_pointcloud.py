@@ -35,6 +35,22 @@ class TestPointCloudInvariants:
         with pytest.raises(ShapeError):
             PointCloud(np.zeros((2, 3)), np.zeros((2, 3)), np.array([1]))
 
+    @pytest.mark.parametrize("labels, dtype", [
+        (np.array([0.5, 1.7]), "float64"),
+        (np.array([np.nan, 1.0]), "float64"),
+        (np.array(["0", "1"]), "<U1"),
+        (np.array([True, False]), "bool"),
+    ], ids=["fractional", "nan", "str", "bool"])
+    def test_labels_must_be_integers(self, labels, dtype):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # NaN labels once warned on the int64 cast
+            with pytest.raises(RangeError, match=f"^labels must be integers, got dtype {dtype}$"):
+                PointCloud(np.zeros((2, 3)), np.zeros((2, 3)), labels)
+
+    def test_integer_labels_of_any_width_are_kept_as_int64(self):
+        cloud = PointCloud(np.zeros((2, 3)), np.zeros((2, 3)), np.array([0, 7], np.uint8))
+        assert cloud.labels.dtype == np.int64 and cloud.labels.tolist() == [0, 7]
+
     def test_needs_at_least_one_point(self):
         with pytest.raises(ShapeError):
             PointCloud(np.zeros((0, 3)), np.zeros((0, 3)))

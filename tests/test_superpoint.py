@@ -42,6 +42,24 @@ class TestSegmentAssignment:
         with pytest.raises(PartitionError):
             SegmentAssignment(np.array([0, 3]), 2)
 
+    @pytest.mark.parametrize("ids, dtype", [
+        (np.array([0.5, 1.7]), "float64"),
+        (np.array([np.nan, 1.0]), "float64"),
+        (np.array([False, True]), "bool"),
+    ], ids=["fractional", "nan", "bool"])
+    def test_rejects_ids_that_are_not_integers(self, ids, dtype):
+        with pytest.raises(PartitionError, match=f"^segment ids must be integers, got dtype {dtype}$"):
+            SegmentAssignment(ids, 2)
+
+    @pytest.mark.parametrize("m", [2.5, 0])
+    def test_rejects_a_segment_count_that_is_not_a_positive_integer(self, m):
+        with pytest.raises(PartitionError, match=f"^num_segments must be an integer >= 1, got {m}$"):
+            SegmentAssignment(np.array([0, 1]), m)
+
+    def test_integer_ids_and_count_of_any_width_are_kept(self):
+        seg = SegmentAssignment(np.array([1, 0], np.uint16), np.int32(2))
+        assert seg.segment_of.dtype == np.int64 and type(seg.num_segments) is int
+
     def test_sizes_are_the_bincount_of_the_ids(self):
         ids = np.concatenate([np.arange(7), substream(840, 0).integers(0, 7, size=50)])
         seg = SegmentAssignment(ids, 7)

@@ -1,10 +1,12 @@
 """Scene generation, the optimizer, pretraining bookkeeping, and the probe."""
 
+import dataclasses
 import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+import typing
 import warnings
 from pathlib import Path
 
@@ -26,7 +28,9 @@ from epcontrast import (
 )
 from epcontrast import encoder, losses, trainer
 from epcontrast.encoder import encoder_embed, encoder_features, encoder_forward
-from epcontrast.errors import ConfigError, DivergenceError, RangeError, UnlabeledSceneError
+from epcontrast.errors import (
+    ConfigError, DivergenceError, EmptyNegativeSetError, RangeError, UnlabeledSceneError,
+)
 from epcontrast.losses import LossConfig
 from epcontrast.numcore import _gemm_row_blocks
 from epcontrast.pointcloud import AugmentParams
@@ -156,12 +160,12 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
 
 
+# every field annotated int or int | None in a config dataclass
 INTEGER_FIELDS = [
-    *[(TrainConfig, f) for f in ("epochs", "batch_size", "hidden", "embed_dim", "seed")],
-    *[(KMeansConfig, f) for f in ("target_segments", "max_iters", "seed")],
-    *[(ProbeConfig, f) for f in ("steps", "seed")],
-    *[(SyntheticSceneConfig, f) for f in ("num_clusters", "points_per_cluster", "seed")],
-    (LossConfig, "neg_sample_count"),
+    (cls, f.name)
+    for cls in (TrainConfig, KMeansConfig, ProbeConfig, SyntheticSceneConfig, LossConfig)
+    for f in dataclasses.fields(cls)
+    if typing.get_type_hints(cls)[f.name] in (int, int | None)
 ]
 
 
@@ -172,6 +176,10 @@ def test_integer_settings_reject_non_integers(cls, field):
         with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
             cls(**{field: value})
     assert getattr(cls(**{field: np.int32(2)}), field) == 2
+    low = 0 if field == "seed" else 1
+    with pytest.raises(ConfigError, match=f"^{field} must be >= {low}, got {low - 1}$"):
+        cls(**{field: low - 1})
+    assert getattr(cls(**{field: np.int32(low)}), field) == low
 
 
 class TestPretrain:
@@ -278,6 +286,28 @@ class TestPretrain:
         cfg = tiny_train_cfg(loss_kind=kind, loss=LossConfig(lam=lam), embed_dim=dim)
         with pytest.raises(ConfigError, match=f"loss kind '{kind}' needs {setting}"):
             pretrain(tiny_scenes(count=1), cfg, KMeansConfig(target_segments=segments))
+
+    @pytest.mark.parametrize("kind", ["pc", "ag", "ep"])
+    def test_scene_of_one_point_fails_before_kmeans_for_kinds_that_contrast_points(
+        self, monkeypatch, kind
+    ):
+        def no_kmeans(*args):
+            raise AssertionError("k-means ran before the scenes were checked")
+
+        monkeypatch.setattr(trainer, "kmeans_segments", no_kmeans)
+        scenes = tiny_scenes(count=6) + [generate_scene(SyntheticSceneConfig(1, 1))]
+        with pytest.raises(
+            EmptyNegativeSetError,
+            match=f"^loss kind '{kind}' needs scenes of >= 2 points so every point has a "
+                  "negative, but scene 6 has 1$",
+        ):
+            pretrain(scenes, tiny_train_cfg(loss_kind=kind), KMeansConfig(target_segments=4))
+
+    def test_scene_of_one_point_trains_under_the_channel_loss(self):
+        scenes = tiny_scenes(count=6) + [generate_scene(SyntheticSceneConfig(1, 1))]
+        _, history = pretrain(scenes, tiny_train_cfg(loss_kind="cc"),
+                              KMeansConfig(target_segments=4))
+        assert len(history) == 7 and all(np.isfinite(row[2]) for row in history)
 
     def test_ep_without_channel_loss_trains_one_channel(self):
         cfg = tiny_train_cfg(loss=LossConfig(lam=0.0), embed_dim=1)
