@@ -43,7 +43,7 @@ class TestPointCloudInvariants:
     ], ids=["fractional", "nan", "str", "bool"])
     def test_labels_must_be_integers(self, labels, dtype):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # NaN labels once warned on the int64 cast
+            warnings.simplefilter("error")  # the dtype is checked before any cast can warn
             with pytest.raises(RangeError, match=f"^labels must be integers, got dtype {dtype}$"):
                 PointCloud(np.zeros((2, 3)), np.zeros((2, 3)), labels)
 

@@ -48,12 +48,14 @@ class TestSegmentAssignment:
         (np.array([False, True]), "bool"),
     ], ids=["fractional", "nan", "bool"])
     def test_rejects_ids_that_are_not_integers(self, ids, dtype):
-        with pytest.raises(PartitionError, match=f"^segment ids must be integers, got dtype {dtype}$"):
+        message = f"^segment ids must be integers, got dtype {dtype}$"
+        with pytest.raises(PartitionError, match=message):
             SegmentAssignment(ids, 2)
 
     @pytest.mark.parametrize("m", [2.5, 0])
     def test_rejects_a_segment_count_that_is_not_a_positive_integer(self, m):
-        with pytest.raises(PartitionError, match=f"^num_segments must be an integer >= 1, got {m}$"):
+        message = f"^num_segments must be an integer >= 1, got {m}$"
+        with pytest.raises(PartitionError, match=message):
             SegmentAssignment(np.array([0, 1]), m)
 
     def test_integer_ids_and_count_of_any_width_are_kept(self):
