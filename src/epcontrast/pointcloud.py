@@ -69,14 +69,15 @@ class PointCloud:
             lab = np.asarray(self.labels)
             if lab.dtype.kind not in "iu":
                 raise RangeError(f"labels must be integers, got dtype {lab.dtype}")
-            lab = np.ascontiguousarray(lab, dtype=np.int64)
             if lab.shape != (pos.shape[0],):
                 raise ShapeError(
                     f"labels must have shape ({pos.shape[0]},), got {lab.shape}"
                 )
             if np.any(lab < 0):
                 raise RangeError("labels must be non-negative")
-            object.__setattr__(self, "labels", lab)
+            if lab.dtype == np.uint64 and lab.max() >= 1 << 63:  # would wrap in int64
+                raise RangeError(f"labels must be below 2**63, got {lab.max()}")
+            object.__setattr__(self, "labels", np.ascontiguousarray(lab, dtype=np.int64))
 
     @property
     def n(self) -> int:

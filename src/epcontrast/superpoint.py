@@ -1,24 +1,26 @@
 """Unsupervised segmentation of a scene into superpoint segments.
 
-Points are clustered with Lloyd's algorithm (k-means++ seeding) on a
-6-dimensional feature: positions min-max normalized per axis to [0, 1]
-concatenated with colors scaled by a configurable weight. The result is
-always a partition — disjoint, covering, with no empty segment — because
-segment pooling divides by segment sizes downstream. The ids come out
-compact, every id in [0, M) used: repair leaves no cluster empty.
+Points are clustered with Lloyd's algorithm on a 6-dimensional feature:
+positions min-max normalized per axis to [0, 1] concatenated with colors
+scaled by a configurable weight. The result is always a partition —
+disjoint, covering, with no empty segment — because segment pooling
+divides by segment sizes downstream. The ids come out compact, every id
+in [0, M) used: repair leaves no cluster empty.
+
+Lloyd starts from centers seeded on an occupied voxel grid, as VCCS
+(Papon et al., CVPR 2013) seeds supervoxels: the unit-box positions are
+binned on the coarsest cubic grid with at least M occupied cells, its
+origin shifted by one draw of three uniforms from the k-means stream, and
+the M most populated cells give the centers their feature means. Each
+grid tried costs a sort of N cell ids and no array spans the grid, so
+seeding is O(N log N) in time and O(N) in memory, with no factor of M.
 
 The assignment step scores points against centroids with one GEMM per
 row block, against the features extended by a ones column so that the
 centroid norms come out of the same product. Its block budget (in
 :mod:`epcontrast.numcore`) is sized to stay in cache, and only each
 point's nearest centroid is kept, so memory is O(N·7) plus one block
-rather than O(N·M); the seeding and the centroid update are O(N·6) too.
-
-The k-means++ seeding keeps its D² weights in fixed-size blocks of
-points, so a weighted pick sums the blocks and searches the block sums
-and then one block; it uses the generator exactly as ``rng.choice(n,
-p=d2 / d2.sum())`` would, and picks as it does except for a draw within
-rounding of a boundary between two points.
+rather than O(N·M); the centroid update and the repair are O(N·6) too.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ class SegmentAssignment:
         seg = np.asarray(self.segment_of)
         if seg.dtype.kind not in "iu":
             raise PartitionError(f"segment ids must be integers, got dtype {seg.dtype}")
-        seg = np.ascontiguousarray(seg, dtype=np.int64)
         if seg.ndim != 1:
             raise ShapeError(f"segment_of must be 1-D, got shape {seg.shape}")
         m = self.num_segments
@@ -56,10 +57,12 @@ class SegmentAssignment:
         m = int(m)
         if seg.size == 0:
             raise PartitionError("segment_of must cover at least one point")
-        if seg.min() < 0 or seg.max() >= m:
-            raise PartitionError(
-                f"segment ids must lie in [0, {m}), got range [{seg.min()}, {seg.max()}]"
-            )
+        # checked in the ids' own dtype: a uint64 id at or above 2**63 would
+        # wrap in int64
+        lo, hi = seg.min(), seg.max()
+        if lo < 0 or hi >= m:
+            raise PartitionError(f"segment ids must lie in [0, {m}), got range [{lo}, {hi}]")
+        seg = np.ascontiguousarray(seg, dtype=np.int64)
         sizes = np.bincount(seg, minlength=m)
         if np.any(sizes == 0):
             empty = int(np.flatnonzero(sizes == 0)[0])
@@ -98,77 +101,72 @@ def segment_features(cloud: PointCloud, color_weight: float) -> np.ndarray:
     return np.hstack([normed, cloud.colors * color_weight])
 
 
-# points per block of the seeding's D² weights: a weighted pick sums every
-# block but runs its sequential cumulative sums over the block sums and one
-# block, not over every point
-_SEED_BLOCK = 64
+# The finest grid the seeding tries has this many cells per axis: its
+# (g + 2)³ cell ids stay below 2⁶³, and the doubling search takes at most
+# 21 grids to reach it.
+_MAX_GRID = 1 << 20
 
 
-def _sq_dists_to(cols: np.ndarray, center: np.ndarray, buf: np.ndarray, out: np.ndarray):
-    """out[i] = |x_i - center|² from the (D, N) feature columns ``cols``;
-    ``buf`` is a (D, N) work buffer.
+def _grid_cells(pos: np.ndarray, g: int, shift: np.ndarray) -> np.ndarray:
+    """Cell id of each unit-box position on a grid of g cells per axis whose
+    origin sits ``shift`` (in cells, each in [0, 1)) below the box's.
 
-    einsum adds the D squares of a column in order, in one pass over
-    ``buf``, to the bytes of ``np.sum((x - center) ** 2, axis=1)`` over
-    (N, D) rows; a test checks this on features of mixed magnitudes.
+    An axis index floor(x·g + shift) lies in [0, g], or is g + 1 where the
+    sum rounds up to it, so ids in base g + 2 are distinct per cell."""
+    ids = np.zeros(pos.shape[0], dtype=np.int64)
+    for axis in range(3):
+        ids *= g + 2
+        ids += np.floor(pos[:, axis] * g + shift[axis]).astype(np.int64)
+    return ids
+
+
+def _occupied(ids: np.ndarray) -> int:
+    """Number of distinct cell ids, from one sort: no array spans the grid."""
+    s = np.sort(ids)
+    return 1 + int(np.count_nonzero(s[1:] != s[:-1]))
+
+
+def _grid_seeds(features: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Seed m centers at the feature means of occupied grid cells.
+
+    The first three feature columns are unit-box positions. They are
+    binned on cubic grids whose origin is shifted by one ``rng.random(3)``,
+    the only draw, so the seed moves the grid. The grid is the coarsest
+    with at least m occupied cells: g doubles from 1 until it has them, and
+    a bisection then finds g with m or more whose g - 1 has fewer (an
+    occupancy count need not grow with every step of g). The centers are
+    the means over all the features of the m most populated cells, ties to
+    the lower cell id, in that order.
+
+    When even _MAX_GRID cells per axis leave k < m cells occupied (fewer
+    than m distinct positions), the k cell means are followed by the
+    features of the points at indices (i * n) // (m - k), i < m - k. Such
+    centers may repeat; Lloyd's repair then fills the clusters they leave
+    empty. Every temporary is O(N).
     """
-    np.subtract(cols, center[:, None], out=buf)
-    np.einsum("ij,ij->j", buf, buf, out=out)
-
-
-def _kmeans_pp_init(features: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: first center uniform, the rest D²-weighted.
-
-    The weights live zero-padded in (nb, _SEED_BLOCK) blocks. A weighted
-    pick draws one ``rng.random()`` scaled by the total weight, finds its
-    block on the cumulative block sums and its point on the cumulative sum
-    inside that block; only the block sums span all N points. When no
-    weight is left (every point sits on a chosen center) the pick is one
-    uniform ``rng.integers(n)``, as in ``rng.choice(n, p=d2 / d2.sum())``,
-    so the generator is called as often, and in the same order, as that
-    form would call it.
-
-    Every weighted pick has positive weight, so no center repeats while
-    weight is left. Two roundings could overshoot, and each takes the
-    last point with weight where it ran out: the scaled draw can round up
-    to the total when that is subnormal, and a block's pairwise sum can
-    exceed the end of its own sequential cumulative sum. The pick is ``rng.choice``'s
-    unless the draw falls within rounding of a boundary between two
-    points: the tests compare both forms, and the centers, labels and
-    Lloyd histories of the ``segment_large`` scenes (seeds 0-9) and the
-    desk scenes (seeds 0-4) kept their bytes when this draw replaced it.
-    """
-    n, dim = features.shape
-    cols = features.T.copy()
-    buf = np.empty_like(cols)
-    nb = -(-n // _SEED_BLOCK)
-    d2_blocks = np.zeros((nb, _SEED_BLOCK))
-    d2 = d2_blocks.reshape(-1)[:n]  # the padding stays zero
-    cand = np.empty(n)
-    cum = np.empty(nb)
-    centers = np.empty((m, dim))
-    centers[0] = features[rng.integers(n)]
-    _sq_dists_to(cols, centers[0], buf, d2)
-    for k in range(1, m):
-        np.add.reduce(d2_blocks, axis=1, out=cum)
-        np.cumsum(cum, out=cum)
-        total = cum[-1]
-        if total <= 0.0:
-            # all remaining mass sits on the chosen centers; pick uniformly
-            idx = rng.integers(n)
-        else:
-            t = rng.random() * total
-            blk = cum.searchsorted(t, side="right")
-            if blk == nb:  # t rounded up to the total
-                blk = cum.searchsorted(total, side="left")
-            inner = np.cumsum(d2_blocks[blk])
-            j = inner.searchsorted(t - cum[blk - 1] if blk else t, side="right")
-            if j == _SEED_BLOCK:  # the block's pairwise sum exceeds its cumsum
-                j = inner.searchsorted(inner[-1], side="left")
-            idx = blk * _SEED_BLOCK + j
-        centers[k] = features[idx]
-        _sq_dists_to(cols, centers[k], buf, cand)
-        np.minimum(d2, cand, out=d2)
+    n = features.shape[0]
+    pos = features[:, :3]
+    shift = rng.random(3)
+    lo, hi = 0, 1
+    while (occupied := _occupied(_grid_cells(pos, hi, shift))) < m and hi < _MAX_GRID:
+        lo, hi = hi, 2 * hi
+    if occupied >= m:
+        while hi - lo > 1:  # occupancy(lo) < m <= occupancy(hi)
+            mid = (lo + hi) // 2
+            if _occupied(_grid_cells(pos, mid, shift)) >= m:
+                hi = mid
+            else:
+                lo = mid
+    cells, cell_of, counts = np.unique(
+        _grid_cells(pos, hi, shift), return_inverse=True, return_counts=True
+    )
+    k = min(m, cells.size)
+    top = np.argsort(-counts, kind="stable")[:k]  # cells are sorted by id
+    rank = np.full(cells.size, k)  # points of unchosen cells go to bin k
+    rank[top] = np.arange(k)
+    centers = np.empty((m, features.shape[1]))
+    centers[:k] = _segment_sums(rank[cell_of], features, k + 1)[:k] / counts[top, None]
+    centers[k:] = features[(np.arange(m - k) * n) // max(m - k, 1)]
     return centers
 
 
@@ -207,7 +205,12 @@ def _repair_empty(labels: np.ndarray, counts: np.ndarray, features: np.ndarray,
     """
     if not np.any(counts == 0):
         return
-    dist_to_own = np.sum((features - centers[labels]) ** 2, axis=1)
+    # np.sum((features - centers[labels]) ** 2, axis=1) in one (N, D) buffer
+    resid = centers[labels]
+    np.subtract(features, resid, out=resid)
+    np.square(resid, out=resid)
+    dist_to_own = np.add.reduce(resid, axis=1)
+    del resid
     for empty in np.flatnonzero(counts == 0):
         donors = counts[labels] > 1
         candidates = np.where(donors, dist_to_own, -np.inf)
@@ -225,7 +228,8 @@ def lloyd_kmeans(
     tol: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Lloyd iterations on precomputed features.
+    """Lloyd iterations on precomputed features, seeded by :func:`_grid_seeds`
+    on their first three columns, the unit-box positions.
 
     Returns (labels, centers, objective history). The objective — summed
     squared distance of points to their assigned centroid — is recorded
@@ -238,7 +242,7 @@ def lloyd_kmeans(
     n, dim = features.shape
     if not 1 <= m <= n:
         raise PartitionError(f"cannot split {n} points into {m} segments: need 1 <= m <= {n}")
-    centers = _kmeans_pp_init(features, m, rng)
+    centers = _grid_seeds(features, m, rng)
     xa = np.empty((n, dim + 1))
     xa[:, :dim] = features
     xa[:, dim] = 1.0

@@ -51,6 +51,14 @@ class TestPointCloudInvariants:
         cloud = PointCloud(np.zeros((2, 3)), np.zeros((2, 3)), np.array([0, 7], np.uint8))
         assert cloud.labels.dtype == np.int64 and cloud.labels.tolist() == [0, 7]
 
+    @pytest.mark.parametrize("top", [2**63, 2**64 - 1])
+    def test_uint64_labels_beyond_int64_name_their_value(self, top):
+        labels = np.array([0, top], np.uint64)
+        with pytest.raises(RangeError, match=f"^labels must be below 2\\*\\*63, got {top}$"):
+            PointCloud(np.zeros((2, 3)), np.zeros((2, 3)), labels)
+        cloud = PointCloud(np.zeros((2, 3)), np.zeros((2, 3)), np.array([0, 2**63 - 1], np.uint64))
+        assert cloud.labels.tolist() == [0, 2**63 - 1]
+
     def test_needs_at_least_one_point(self):
         with pytest.raises(ShapeError):
             PointCloud(np.zeros((0, 3)), np.zeros((0, 3)))

@@ -1,4 +1,7 @@
-"""Segmentation: feature construction, Lloyd invariants, blob recovery."""
+"""Segmentation: feature construction, grid seeding, Lloyd invariants,
+blob recovery and purity."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,14 +10,16 @@ from epcontrast import (
     KMeansConfig,
     PointCloud,
     SegmentAssignment,
+    SyntheticSceneConfig,
     kmeans_segments,
+    generate_scene,
     kmeans_segments_with_history,
     segment_features,
 )
 from epcontrast import numcore, superpoint
 from epcontrast.errors import PartitionError
 from epcontrast.rng import substream
-from epcontrast.superpoint import _assign, _kmeans_pp_init, _sq_dists_to, lloyd_kmeans
+from epcontrast.superpoint import _assign, _grid_seeds, _occupied, lloyd_kmeans
 
 
 def two_blob_scene(rng, per_blob=60, separation=50.0):
@@ -31,6 +36,13 @@ def two_blob_scene(rng, per_blob=60, separation=50.0):
 
 def random_scene(rng, n):
     return PointCloud(rng.normal(size=(n, 3)) * 2.0, rng.uniform(0, 1, (n, 3)))
+
+
+def segment_purity(seg, labels):
+    """Share of points whose segment's majority label is their own."""
+    counts = np.zeros((seg.num_segments, labels.max() + 1), np.int64)
+    np.add.at(counts, (seg.segment_of, labels), 1)
+    return counts.max(axis=1).sum() / labels.size
 
 
 class TestSegmentAssignment:
@@ -51,6 +63,13 @@ class TestSegmentAssignment:
         message = f"^segment ids must be integers, got dtype {dtype}$"
         with pytest.raises(PartitionError, match=message):
             SegmentAssignment(ids, 2)
+
+    def test_uint64_ids_beyond_int64_name_their_value(self):
+        message = r"^segment ids must lie in \[0, 2\), got range \[0, 18446744073709551615\]$"
+        with pytest.raises(PartitionError, match=message):
+            SegmentAssignment(np.array([0, 2**64 - 1], np.uint64), 2)
+        with pytest.raises(PartitionError, match=r"range \[1, 9223372036854775808\]$"):
+            SegmentAssignment(np.array([2**63, 1], np.uint64), 2)
 
     @pytest.mark.parametrize("m", [2.5, 0])
     def test_rejects_a_segment_count_that_is_not_a_positive_integer(self, m):
@@ -142,9 +161,10 @@ class TestKMeansSegments:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_duplicate_points_leave_no_id_unused(self, seed, monkeypatch):
-        """Five distinct points repeated eight times, split 12 ways: k-means++
-        runs out of weight and picks duplicate centers, the assignment
-        leaves clusters empty, and the repair must fill every one."""
+        """Five distinct points repeated eight times, split 12 ways: the grid
+        seeding finds at most five occupied cells and fills the other seeds
+        with points, which repeat, so the assignment leaves clusters empty
+        and the repair must fill every one."""
         rng = substream(842, seed)
         base = random_scene(rng, 5)
         cloud = PointCloud(np.tile(base.positions, (8, 1)), np.tile(base.colors, (8, 1)))
@@ -165,6 +185,17 @@ class TestKMeansSegments:
         assert seg.num_segments == 12
         np.testing.assert_array_equal(seg.segment_of, labels)
 
+    def test_segment_purity_on_sixteen_blobs(self):
+        # k-means++ seeding reached a least purity of 0.98438 and a mean of
+        # 0.99609 over these ten scenes; the grid seeding must not fall below
+        purities = []
+        for seed in range(10):
+            scene = generate_scene(SyntheticSceneConfig(num_clusters=16, points_per_cluster=32,
+                                                        seed=seed))
+            seg = kmeans_segments(scene, KMeansConfig(target_segments=64, seed=seed))
+            purities.append(segment_purity(seg, scene.labels))
+        assert min(purities) >= 0.984 and np.mean(purities) >= 0.996, purities
+
     def test_deterministic_under_fixed_seed(self):
         rng = np.random.default_rng(5)
         cloud = random_scene(rng, 80)
@@ -172,20 +203,6 @@ class TestKMeansSegments:
         a = kmeans_segments(cloud, cfg)
         b = kmeans_segments(cloud, cfg)
         np.testing.assert_array_equal(a.segment_of, b.segment_of)
-
-
-def choice_kmeans_pp(features, m, rng):
-    """k-means++ seeding through ``rng.choice(n, p=...)``, as first written."""
-    n = features.shape[0]
-    centers = np.empty((m, features.shape[1]))
-    centers[0] = features[rng.integers(n)]
-    d2 = np.sum((features - centers[0]) ** 2, axis=1)
-    for k in range(1, m):
-        total = d2.sum()
-        idx = rng.integers(n) if total <= 0.0 else rng.choice(n, p=d2 / total)
-        centers[k] = features[idx]
-        d2 = np.minimum(d2, np.sum((features - centers[k]) ** 2, axis=1))
-    return centers
 
 
 class TestLloydKernels:
@@ -239,7 +256,7 @@ class TestLloydKernels:
         feats = segment_features(random_scene(substream(836, m), 300), 1.0)
         got = lloyd_kmeans(feats, m, 30, tol, substream(837, m))
         rng = substream(837, m)
-        centers = _kmeans_pp_init(feats, m, rng)
+        centers = _grid_seeds(feats, m, rng)
         xa = np.hstack([feats, np.ones((len(feats), 1))])
         labels = np.empty(len(feats), dtype=np.int64)
         history = []
@@ -257,6 +274,29 @@ class TestLloydKernels:
         assert got[0].tobytes() == labels.tobytes()
         assert got[1].tobytes() == centers.tobytes()
 
+    def test_repair_replicates_fresh_temporaries(self):
+        """The repair's distances from one reused buffer are the bytes of
+        np.sum((features - centers[labels]) ** 2, axis=1), so it moves the
+        same points."""
+        feats = segment_features(random_scene(substream(860, 0), 400), 1.0)
+        centers = _grid_seeds(feats, 120, substream(861, 0))
+        xa = np.hstack([feats, np.ones((400, 1))])
+        labels = np.empty(400, dtype=np.int64)
+        _assign(xa, centers, labels)
+        counts = np.bincount(labels, minlength=120)
+        assert np.count_nonzero(counts == 0) > 5
+        want_labels, want_counts = labels.copy(), counts.copy()
+        dist_to_own = np.sum((feats - centers[want_labels]) ** 2, axis=1)
+        for empty in np.flatnonzero(want_counts == 0):
+            thief = int(np.argmax(np.where(want_counts[want_labels] > 1, dist_to_own, -np.inf)))
+            want_counts[want_labels[thief]] -= 1
+            want_labels[thief] = empty
+            want_counts[empty] += 1
+            dist_to_own[thief] = 0.0
+        superpoint._repair_empty(labels, counts, feats, centers)
+        assert labels.tobytes() == want_labels.tobytes()
+        assert counts.tobytes() == want_counts.tobytes()
+
     def test_gemm_row_blocks_never_leave_one_row(self):
         for n in range(1, 40):
             for row_len in (1, 10, 1 << 20):
@@ -268,76 +308,106 @@ class TestLloydKernels:
                 step = max(2, numcore._ASSIGN_BLOCK_BYTES // (8 * row_len))
                 assert max(sizes) <= step + 1
 
-    def test_seeding_draws_what_choice_draws(self):
-        # the random stream is part of the determinism contract: same
-        # centers and the generator left in the same state
-        rng = substream(832, 0)
-        scenes = [segment_features(random_scene(rng, int(rng.integers(20, 300))), 1.0)
-                  for _ in range(19)]
-        # 6 distinct points repeated: the mass runs out and picks go uniform
-        scenes.append(np.repeat(scenes[0][:6], 5, axis=0))
-        for seed, feats in enumerate(scenes):
-            m = min(12, feats.shape[0])
-            ours, theirs = substream(833, seed), substream(833, seed)
-            np.testing.assert_array_equal(
-                _kmeans_pp_init(feats, m, ours), choice_kmeans_pp(feats, m, theirs)
-            )
-            assert ours.random() == theirs.random()
+
+def spy_grids(monkeypatch):
+    """Record the g of every grid that the seeding bins positions on."""
+    grids, real = [], superpoint._grid_cells
+
+    def spy(pos, g, shift):
+        grids.append(g)
+        return real(pos, g, shift)
+
+    monkeypatch.setattr(superpoint, "_grid_cells", spy)
+    return grids
 
 
-class _TopOfUnitGenerator:
-    """A generator whose ``random()`` is the largest double below 1, so
-    every weighted pick lands at the far end of the D² weights; its
-    ``integers`` are a real generator's."""
-
-    def __init__(self, rng):
-        self.integers = rng.integers
-
-    def random(self):
-        return float(np.nextafter(1.0, 0.0))
+def reference_cells(feats, g, shift):
+    """{cell: point indices} of the grid, binned one point at a time."""
+    cells = {}
+    for i, p in enumerate(feats[:, :3]):
+        cell = tuple(int(np.floor(p[a] * g + shift[a])) for a in range(3))
+        cells.setdefault(cell, []).append(i)
+    return cells
 
 
-class TestSeedingEdges:
-    def test_draws_at_the_top_pick_weighted_points(self):
-        rng = substream(835, 0)
-        scenes = [segment_features(random_scene(rng, n), 1.0) for n in (7, 64, 65, 200, 1000)]
-        for seed, feats in enumerate(scenes):
-            m = min(40, feats.shape[0])
-            centers = _kmeans_pp_init(feats, m, _TopOfUnitGenerator(substream(836, seed)))
-            assert np.unique(centers, axis=0).shape[0] == m
-        # 6 distinct points repeated: six weighted picks, then uniform ones
-        feats = np.repeat(scenes[3][:6], 5, axis=0)
-        centers = _kmeans_pp_init(feats, 12, _TopOfUnitGenerator(substream(836, 9)))
-        assert np.unique(centers[:6], axis=0).shape[0] == 6
+class TestGridSeeding:
+    @pytest.mark.parametrize("m", [7, 40])
+    def test_same_bytes_per_seed_and_other_centers_across_seeds(self, m):
+        feats = segment_features(random_scene(substream(850, m), 500), 1.0)
+        first = _grid_seeds(feats, m, substream(851, 0))
+        assert first.tobytes() == _grid_seeds(feats, m, substream(851, 0)).tobytes()
+        for seed in range(1, 5):
+            assert not np.array_equal(first, _grid_seeds(feats, m, substream(851, seed)))
 
-    def test_draw_rounding_up_to_a_subnormal_total(self):
-        # the weights left after the first pick are subnormal, where
-        # u * total rounds up to total for u just below 1
-        tiny = 2.0**-538  # squares to 2**-1076, between 0 and the least subnormal
-        feats = np.zeros((130, 6))
-        feats[3, 0] = 3 * tiny
-        feats[70, 1] = 2 * tiny
-        total = feats[3, 0] ** 2 + feats[70, 1] ** 2
-        assert 0.0 < total < np.finfo(float).smallest_normal
-        assert np.nextafter(1.0, 0.0) * total == total
-        checked = 0
-        for seed in range(8):
-            rng = _TopOfUnitGenerator(substream(837, seed))
-            centers = _kmeans_pp_init(feats, 3, rng)
-            if not centers[0].any():  # the first pick fell on a zero point
-                assert np.unique(centers, axis=0).shape[0] == 3
-                checked += 1
-        assert checked
+    def test_takes_one_draw_of_three_uniforms(self):
+        feats = segment_features(random_scene(substream(852, 0), 300), 1.0)
+        for m in (1, 12, 299):
+            rng, ref = substream(853, m), substream(853, m)
+            _grid_seeds(feats, m, rng)
+            ref.random(3)
+            assert rng.random(4).tobytes() == ref.random(4).tobytes()
 
-    def test_distance_pass_matches_in_order_sum(self):
-        rng = substream(838, 0)
-        scale = 10.0 ** rng.integers(-12, 13, size=(6, 1))
-        cols = rng.normal(size=(6, 3001)) * scale * 10.0 ** rng.integers(-4, 5, size=3001)
-        buf, out = np.empty_like(cols), np.empty(3001)
-        for center in (cols[:, 17], cols[:, 2000] * 1.5, np.zeros(6)):
-            _sq_dists_to(cols, center, buf, out)
-            want = np.add.reduce(np.square(cols - center[:, None]), axis=0)
-            assert out.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("m", [1, 5, 30, 150])
+    def test_means_of_the_most_populated_cells_of_the_coarsest_grid(self, m, monkeypatch):
+        feats = segment_features(random_scene(substream(854, m), 400), 1.0)
+        grids = spy_grids(monkeypatch)
+        centers = _grid_seeds(feats, m, substream(855, m))
+        g, shift = grids[-1], substream(855, m).random(3)
+        cells = reference_cells(feats, g, shift)
+        assert len(cells) >= m and (g == 1 or len(reference_cells(feats, g - 1, shift)) < m)
+        top = sorted(cells, key=lambda c: (-len(cells[c]), c))[:m]
+        want = np.array([feats[cells[c]].mean(axis=0) for c in top])
+        np.testing.assert_allclose(centers, want, rtol=1e-12, atol=1e-15)
+
+    @staticmethod
+    def edge_features(case):
+        rng = substream(856, 0)
+        pos, col = rng.normal(size=(60, 3)), rng.uniform(0, 1, (60, 3))
+        if case == "identical":
+            pos, col = np.ones((60, 3)), np.full((60, 3), 0.25)
+        elif case == "flat":
+            pos[:, 1] = 3.0
+        elif case == "few_positions":  # 4 distinct positions, 60 distinct colors
+            pos = np.repeat(pos[:4], 15, axis=0)
+        return segment_features(PointCloud(pos, col), 1.0)
+
+    @pytest.mark.parametrize("case, m", [
+        ("random", 1), ("random", 59), ("identical", 1), ("identical", 9),
+        ("flat", 20), ("few_positions", 10),
+    ])
+    def test_edges_seed_m_centers_and_lloyd_fills_every_segment(self, case, m):
+        feats = self.edge_features(case)
+        centers = _grid_seeds(feats, m, substream(857, m))
+        assert centers.shape == (m, 6) and np.all(np.isfinite(centers))
+        if case == "flat":  # the flat axis maps to 0.5, so does every center
+            np.testing.assert_array_equal(centers[:, 1], 0.5)
+        labels, _, _ = lloyd_kmeans(feats, m, 10, 1e-4, substream(857, m))
+        np.testing.assert_array_equal(np.unique(labels), np.arange(m))
+
+    @pytest.mark.parametrize("case, distinct", [("identical", 1), ("few_positions", 4)])
+    def test_search_ends_at_the_finest_grid_and_fills_from_points(self, case, distinct,
+                                                                   monkeypatch):
+        feats = self.edge_features(case)
+        m, n = 10, feats.shape[0]
+        grids = spy_grids(monkeypatch)
+        tracemalloc.start()
+        try:
+            centers = _grid_seeds(feats, m, substream(858, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # doubling from 1 to the finest grid, then the binning that is kept
+        assert grids == [2**i for i in range(21)] + [superpoint._MAX_GRID]
+        assert peak <= 64 * n * 8  # nothing spans the (2**20 + 1)**3 cells
+        fill = (np.arange(m - distinct) * n) // (m - distinct)
+        assert centers[distinct:].tobytes() == feats[fill].tobytes()
+        assert np.unique(centers[:distinct], axis=0).shape[0] == distinct
+
+    def test_occupied_counts_distinct_ids(self):
+        ids = substream(859, 0).integers(-5, 2**62, size=200)
+        ids[::3] = ids[1::3][: ids[::3].size]
+        assert _occupied(ids) == np.unique(ids).size
+        assert _occupied(np.array([7])) == 1
 
 
 class TestSegmentCount:
