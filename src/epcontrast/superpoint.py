@@ -7,13 +7,9 @@ disjoint, covering, with no empty segment — because segment pooling
 divides by segment sizes downstream. The ids come out compact, every id
 in [0, M) used: repair leaves no cluster empty.
 
-Lloyd starts from centers seeded on an occupied voxel grid, as VCCS
-(Papon et al., CVPR 2013) seeds supervoxels: the unit-box positions are
-binned on the coarsest cubic grid with at least M occupied cells, its
-origin shifted by one draw of three uniforms from the k-means stream, and
-the M most populated cells give the centers their feature means. Each
-grid tried costs a sort of N cell ids and no array spans the grid, so
-seeding is O(N log N) in time and O(N) in memory, with no factor of M.
+Lloyd starts from centers seeded on an occupied voxel grid
+(:func:`_grid_seeds`), as VCCS (Papon et al., CVPR 2013) seeds
+supervoxels: O(N) memory, and no factor of M in its time.
 
 The assignment step scores points against centroids with one GEMM per
 row block, against the features extended by a ones column so that the
@@ -57,8 +53,7 @@ class SegmentAssignment:
         m = int(m)
         if seg.size == 0:
             raise PartitionError("segment_of must cover at least one point")
-        # checked in the ids' own dtype: a uint64 id at or above 2**63 would
-        # wrap in int64
+        # in the ids' own dtype: a uint64 id >= 2**63 would wrap in int64
         lo, hi = seg.min(), seg.max()
         if lo < 0 or hi >= m:
             raise PartitionError(f"segment ids must lie in [0, {m}), got range [{lo}, {hi}]")
@@ -101,9 +96,8 @@ def segment_features(cloud: PointCloud, color_weight: float) -> np.ndarray:
     return np.hstack([normed, cloud.colors * color_weight])
 
 
-# The finest grid the seeding tries has this many cells per axis: its
-# (g + 2)³ cell ids stay below 2⁶³, and the doubling search takes at most
-# 21 grids to reach it.
+# cells per axis of the finest grid the seeding tries: (g + 2)³ cell ids
+# stay below 2⁶³, and the doubling search reaches it in 21 grids
 _MAX_GRID = 1 << 20
 
 
@@ -129,20 +123,14 @@ def _occupied(ids: np.ndarray) -> int:
 def _grid_seeds(features: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """Seed m centers at the feature means of occupied grid cells.
 
-    The first three feature columns are unit-box positions. They are
-    binned on cubic grids whose origin is shifted by one ``rng.random(3)``,
-    the only draw, so the seed moves the grid. The grid is the coarsest
-    with at least m occupied cells: g doubles from 1 until it has them, and
-    a bisection then finds g with m or more whose g - 1 has fewer (an
-    occupancy count need not grow with every step of g). The centers are
-    the means over all the features of the m most populated cells, ties to
-    the lower cell id, in that order.
-
-    When even _MAX_GRID cells per axis leave k < m cells occupied (fewer
-    than m distinct positions), the k cell means are followed by the
-    features of the points at indices (i * n) // (m - k), i < m - k. Such
-    centers may repeat; Lloyd's repair then fills the clusters they leave
-    empty. Every temporary is O(N).
+    The unit-box positions (the first three columns) are binned on cubic
+    grids shifted by one ``rng.random(3)``, the only draw. g doubles from 1
+    until m cells are occupied, and a bisection then finds a g with m or
+    more whose g - 1 has fewer (occupancy need not grow with every step of
+    g). The centers are the means of the m most populated cells, ties to
+    the lower cell id. When _MAX_GRID leaves only k < m cells occupied, the
+    points at indices (i * n) // (m - k), i < m - k, seed the rest; repeats
+    leave clusters empty, which Lloyd's repair fills. Temporaries are O(N).
     """
     n = features.shape[0]
     pos = features[:, :3]

@@ -398,7 +398,7 @@ class TestGridSeeding:
             tracemalloc.stop()
         # doubling from 1 to the finest grid, then the binning that is kept
         assert grids == [2**i for i in range(21)] + [superpoint._MAX_GRID]
-        assert peak <= 64 * n * 8  # nothing spans the (2**20 + 1)**3 cells
+        assert peak <= 64 * n * 8  # no array spans the finest grid
         fill = (np.arange(m - distinct) * n) // (m - distinct)
         assert centers[distinct:].tobytes() == feats[fill].tobytes()
         assert np.unique(centers[:distinct], axis=0).shape[0] == distinct
